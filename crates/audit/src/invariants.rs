@@ -36,17 +36,13 @@
 //!   conditioning gate admits the case, its pole-superposition waveform
 //!   agrees with the transient golden within the `analytic` envelope;
 //!   a gate rejection is a decline (designed behavior), not a finding.
-//! * **SoA-vs-scalar bit equivalence** — the structure-of-arrays batch
-//!   kernel ([`MomentBatch`]) reproduces the scalar metric path
-//!   bit-for-bit on this case's moments, for every metric kind and for
-//!   the parameter bounds.
 
 use crate::report::Finding;
 use crate::{ErrorEnvelopes, MetricEnvelope};
 use xtalk_core::superpose::{combined_value_at, worst_case, TimingWindow};
 use xtalk_core::template::{LinExpTemplate, PwlTemplate};
 use xtalk_core::{
-    MetricKind, MetricOne, MomentBatch, NoiseAnalyzer, NoiseEstimate, OutputMoments,
+    MetricKind, NoiseAnalyzer, NoiseEstimate, OutputMoments,
     RobustAnalyzer, LAMBDA,
 };
 use xtalk_sim::{
@@ -351,7 +347,6 @@ fn check_case(
         &mut declined,
         &mut errors,
     );
-    check_soa_batch(&id, &moments, input.effective_rise_time(), &mut findings);
 
     Ok(CaseOutcome::Checked {
         findings,
@@ -569,117 +564,6 @@ fn check_analytic_agreement(
             compare_golden(id, "analytic", &analytic, golden, envelope, findings, errors)
         }
         Err(reason) => declined.push(("analytic", format!("fast tier: {}", reason.as_str()))),
-    }
-}
-
-/// SoA-vs-scalar bit equivalence: the batched metric kernel must
-/// reproduce the scalar path exactly — same bits on success, same
-/// structured error on decline — for every metric kind and the bounds.
-fn check_soa_batch(
-    id: &CaseId<'_>,
-    f: &OutputMoments,
-    t_r: f64,
-    findings: &mut Vec<Finding>,
-) {
-    let mut batch = MomentBatch::new();
-    batch.push(f, t_r);
-
-    for (kind, name) in [
-        (MetricKind::One, "estimate_one"),
-        (MetricKind::OneSymmetric, "estimate_one_symmetric"),
-        (MetricKind::Two, "estimate_two"),
-    ] {
-        let batched = batch.estimates(kind).result(0);
-        let scalar = NoiseAnalyzer::estimate_for(f, t_r, kind);
-        match (&batched, &scalar) {
-            (Ok(b), Ok(s)) => {
-                let fields = [
-                    ("vp", b.vp, s.vp),
-                    ("t0", b.t0, s.t0),
-                    ("t1", b.t1, s.t1),
-                    ("t2", b.t2, s.t2),
-                    ("tp", b.tp, s.tp),
-                    ("wn", b.wn, s.wn),
-                    ("m", b.m, s.m),
-                    ("polarity", b.polarity, s.polarity),
-                ];
-                for (field, bv, sv) in fields {
-                    if bv.to_bits() != sv.to_bits() {
-                        findings.push(id.finding(
-                            "soa_batch",
-                            "bit_identical_estimate",
-                            bv,
-                            sv,
-                            format!("batched {name} field {field} differs from the scalar path"),
-                        ));
-                    }
-                }
-            }
-            (Err(b), Err(s)) => {
-                if format!("{b:?}") != format!("{s:?}") {
-                    findings.push(id.finding(
-                        "soa_batch",
-                        "bit_identical_estimate",
-                        0.0,
-                        0.0,
-                        format!("batched {name} declined with {b:?}, scalar with {s:?}"),
-                    ));
-                }
-            }
-            _ => findings.push(id.finding(
-                "soa_batch",
-                "bit_identical_estimate",
-                0.0,
-                0.0,
-                format!("batched {name} and the scalar path disagree on success vs decline"),
-            )),
-        }
-    }
-
-    let batched = batch.bounds().result(0);
-    let scalar = MetricOne::bounds(f);
-    match (&batched, &scalar) {
-        (Ok(b), Ok(s)) => {
-            let fields = [
-                ("vp_lo", b.vp.0, s.vp.0),
-                ("vp_hi", b.vp.1, s.vp.1),
-                ("t0_lo", b.t0.0, s.t0.0),
-                ("t0_hi", b.t0.1, s.t0.1),
-                ("tp_lo", b.tp.0, s.tp.0),
-                ("tp_hi", b.tp.1, s.tp.1),
-                ("wn_lo", b.wn.0, s.wn.0),
-                ("wn_hi", b.wn.1, s.wn.1),
-            ];
-            for (field, bv, sv) in fields {
-                if bv.to_bits() != sv.to_bits() {
-                    findings.push(id.finding(
-                        "soa_batch",
-                        "bit_identical_bounds",
-                        bv,
-                        sv,
-                        format!("batched bounds field {field} differs from the scalar path"),
-                    ));
-                }
-            }
-        }
-        (Err(b), Err(s)) => {
-            if format!("{b:?}") != format!("{s:?}") {
-                findings.push(id.finding(
-                    "soa_batch",
-                    "bit_identical_bounds",
-                    0.0,
-                    0.0,
-                    format!("batched bounds declined with {b:?}, scalar with {s:?}"),
-                ));
-            }
-        }
-        _ => findings.push(id.finding(
-            "soa_batch",
-            "bit_identical_bounds",
-            0.0,
-            0.0,
-            "batched bounds and the scalar path disagree on success vs decline".into(),
-        )),
     }
 }
 

@@ -9,6 +9,7 @@
 
 use crate::ErrorEnvelopes;
 use std::fmt;
+use xtalk_obs::json::{json_num, json_str};
 
 /// One violated invariant on one audited case. Everything needed to
 /// reproduce the case is in the finding: regenerate it with
@@ -265,40 +266,6 @@ fn comma(i: usize, len: usize) -> &'static str {
     } else {
         ""
     }
-}
-
-/// JSON number: finite floats print via Rust's shortest-round-trip
-/// `Display` (deterministic); non-finite values, which JSON cannot carry
-/// as numbers, become quoted strings.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else if v.is_nan() {
-        "\"NaN\"".to_string()
-    } else if v > 0.0 {
-        "\"inf\"".to_string()
-    } else {
-        "\"-inf\"".to_string()
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -3,9 +3,6 @@
 //! slews over the p25 sweep ranges), the adaptive march must agree with
 //! the fixed march on peak, peak time and width within the calibrated
 //! audit envelope — the same one `xtalk audit` enforces per case.
-//!
-//! The SoA-vs-scalar bit-identity half of this property family lives in
-//! `xtalk-core/tests/proptests.rs`, next to the kernels it exercises.
 
 use proptest::prelude::*;
 use xtalk_audit::invariants::NEGLIGIBLE_VP;

@@ -35,8 +35,8 @@
 //!
 //! Stage figures come from the observability span histograms: `sim_s`
 //! is the summed time under `sim.golden` spans (including analytic-tier
-//! measurements), `metric_s` the remaining `eval.case` time plus the
-//! serial `eval.metrics` batch-finalize stage, `audit_s` the audit pass
+//! measurements), `metric_s` the remaining `eval.case` time (moments,
+//! baselines and the closed-form metrics), `audit_s` the audit pass
 //! wall clock, `other_s` the unattributed remainder. Span sums are
 //! **per-thread** totals, so parallel legs divide them by the worker
 //! count before reporting — the executor stripes cases evenly, making
@@ -99,7 +99,6 @@ fn timed_leg(
 
     let sim_ns0 = span_sum_ns("span.sim.golden.ns");
     let case_ns0 = span_sum_ns("span.eval.case.ns");
-    let metrics_ns0 = span_sum_ns("span.eval.metrics.ns");
     let hits0 = counter("sim.fast_tier.hits");
     let fallback0 = counter("sim.fast_tier.fallback");
     let saved0 = counter("sim.adaptive.steps_saved");
@@ -118,8 +117,6 @@ fn timed_leg(
     // wall-clock estimate (cases are striped evenly across workers).
     let sim_s = (span_sum_ns("span.sim.golden.ns") - sim_ns0) as f64 * 1e-9 / jobs as f64;
     let case_s = (span_sum_ns("span.eval.case.ns") - case_ns0) as f64 * 1e-9 / jobs as f64;
-    // The batch metric finalize stage runs serially on the coordinator.
-    let metrics_s = (span_sum_ns("span.eval.metrics.ns") - metrics_ns0) as f64 * 1e-9;
 
     let audit_start = Instant::now();
     let report = run_audit(&AuditConfig {
@@ -137,9 +134,9 @@ fn timed_leg(
         LegTiming {
             total_s: sweep_s + audit_s,
             sim_s,
-            metric_s: (case_s - sim_s).max(0.0) + metrics_s,
+            metric_s: (case_s - sim_s).max(0.0),
             audit_s,
-            other_s: (sweep_s - case_s - metrics_s).max(0.0),
+            other_s: (sweep_s - case_s).max(0.0),
             fast_hits: counter("sim.fast_tier.hits") - hits0,
             fast_fallback: counter("sim.fast_tier.fallback") - fallback0,
             steps_saved: counter("sim.adaptive.steps_saved") - saved0,

@@ -71,10 +71,10 @@ fn bench_throughput(c: &mut Criterion) {
         })
     });
     group.bench_function("moment_engines/tree_linear", |b| {
-        let engine = xtalk_moments::TreeMomentEngine::new(&network);
+        // A cold engine per iteration: build plus one query.
         b.iter(|| {
-            engine
-                .transfer_taylor(black_box(aggressor), network.victim_output(), 4)
+            xtalk_moments::IncrTreeEngine::new(black_box(&network), 4)
+                .transfer_taylor(black_box(aggressor), network.victim_output())
                 .unwrap()
         })
     });

@@ -541,6 +541,9 @@ fn parse_command(argv: &[String]) -> Result<ParseOutcome, Box<dyn Error>> {
         Some("optimize") => return parse_optimize(it),
         Some(other) => return Err(format!("unknown command {other:?}; try --help").into()),
     };
+    if help_requested(&mut it) {
+        return Ok(ParseOutcome::Help(HELP.to_string()));
+    }
     let deck_path = it
         .next()
         .ok_or("missing deck path; try --help")?
@@ -623,6 +626,13 @@ fn parse_command(argv: &[String]) -> Result<ParseOutcome, Box<dyn Error>> {
         return Err("--slew must be positive".into());
     }
     Ok(ParseOutcome::Run(inv))
+}
+
+/// `true` when the next argument asks for help — checked before a
+/// subcommand takes its positional deck path, so `--help` is never
+/// mistaken for a file name.
+fn help_requested(it: &mut std::iter::Peekable<std::slice::Iter<'_, String>>) -> bool {
+    matches!(it.peek().map(|s| s.as_str()), Some("--help" | "-h"))
 }
 
 fn parse_audit(
@@ -717,6 +727,9 @@ fn parse_sweep(
 fn parse_screen(
     mut it: std::iter::Peekable<std::slice::Iter<'_, String>>,
 ) -> Result<ParseOutcome, Box<dyn Error>> {
+    if help_requested(&mut it) {
+        return Ok(ParseOutcome::Help(HELP.to_string()));
+    }
     let mut screen = ScreenCmdArgs {
         deck_path: it
             .next()

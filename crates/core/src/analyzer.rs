@@ -160,9 +160,7 @@ impl<'a> NoiseAnalyzer<'a> {
 
     /// Single-case metric dispatch on already-computed output moments:
     /// `t_r` is the input's effective rise time (`≤ 0` = ideal step, which
-    /// falls back to the symmetric shape `m = 1`). This is the scalar
-    /// reference the structure-of-arrays evaluator in [`crate::batch`] is
-    /// bit-identical to.
+    /// falls back to the symmetric shape `m = 1`).
     ///
     /// # Errors
     ///

@@ -62,7 +62,6 @@
 
 mod analyzer;
 pub mod baselines;
-pub mod batch;
 mod error;
 mod estimate;
 pub mod memo;
@@ -75,7 +74,6 @@ pub mod superpose;
 pub mod template;
 
 pub use analyzer::{MetricKind, NoiseAnalyzer};
-pub use batch::{BoundsBatch, EstimateBatch, MomentBatch};
 pub use error::MetricError;
 pub use estimate::{NoiseBounds, NoiseEstimate};
 pub use metric1::MetricOne;

@@ -51,7 +51,30 @@ impl MetricOne {
     ///   or underflowed at an extreme `m`/moment combination.
     pub fn estimate(f: &OutputMoments, m: f64) -> Result<NoiseEstimate, MetricError> {
         xtalk_obs::counter!("core.metric1.estimates").add(1);
-        estimate_raw(f.f1(), f.f2(), f.f3(), f.polarity(), m)
+        if !(m.is_finite() && m > 0.0) {
+            return Err(MetricError::BadShapeRatio { m });
+        }
+        let tw = f.t_w()?;
+        if tw <= 0.0 {
+            return Err(MetricError::DegenerateWidth { t_w: tw });
+        }
+        let (f1, f2) = (f.f1(), f.f2());
+        let root = (m * m + m + 1.0).sqrt();
+        let vp = root / (m + 1.0) * 2.0 * f1 / tw;
+        let t1 = tw / root;
+        let t2 = m * t1;
+        let t0 = -f2 / f1 - (m + 2.0) / (3.0 * root) * tw;
+        NoiseEstimate {
+            vp,
+            t0,
+            t1,
+            t2,
+            tp: t0 + t1,
+            wn: (m + 1.0) * t1,
+            m,
+            polarity: f.polarity(),
+        }
+        .validated()
     }
 
     /// Evaluates the metric with `m` estimated from the input transition
@@ -85,65 +108,25 @@ impl MetricOne {
     /// [`MetricError::NonFiniteQuantity`] when `2·f1/T_W` overflows.
     pub fn bounds(f: &OutputMoments) -> Result<NoiseBounds, MetricError> {
         xtalk_obs::counter!("core.metric1.bounds").add(1);
-        bounds_raw(f.f1(), f.f2(), f.f3())
+        let tw = f.t_w()?;
+        if tw <= 0.0 {
+            return Err(MetricError::DegenerateWidth { t_w: tw });
+        }
+        let c = -f.f2() / f.f1();
+        let base = 2.0 * f.f1() / tw;
+        if !base.is_finite() {
+            return Err(MetricError::NonFiniteQuantity {
+                field: "vp_bound",
+                value: base,
+            });
+        }
+        Ok(NoiseBounds {
+            vp: (3.0f64.sqrt() / 2.0 * base, base),
+            t0: (c - 2.0 / 3.0 * tw, c - 1.0 / 3.0 * tw),
+            tp: (c - tw / 3.0, c + tw / 3.0),
+            wn: (tw, 2.0 / 3.0f64.sqrt() * tw),
+        })
     }
-}
-
-/// Lane-level body of [`MetricOne::estimate`] shared with [`crate::batch`]:
-/// identical operation sequence minus the observability counter (the batch
-/// evaluator amortizes it over the whole batch).
-pub(crate) fn estimate_raw(
-    f1: f64,
-    f2: f64,
-    f3: f64,
-    polarity: f64,
-    m: f64,
-) -> Result<NoiseEstimate, MetricError> {
-    if !(m.is_finite() && m > 0.0) {
-        return Err(MetricError::BadShapeRatio { m });
-    }
-    let tw = crate::output::t_w_raw(f1, f2, f3)?;
-    if tw <= 0.0 {
-        return Err(MetricError::DegenerateWidth { t_w: tw });
-    }
-    let root = (m * m + m + 1.0).sqrt();
-    let vp = root / (m + 1.0) * 2.0 * f1 / tw;
-    let t1 = tw / root;
-    let t2 = m * t1;
-    let t0 = -f2 / f1 - (m + 2.0) / (3.0 * root) * tw;
-    NoiseEstimate {
-        vp,
-        t0,
-        t1,
-        t2,
-        tp: t0 + t1,
-        wn: (m + 1.0) * t1,
-        m,
-        polarity,
-    }
-    .validated()
-}
-
-/// Lane-level body of [`MetricOne::bounds`] shared with [`crate::batch`].
-pub(crate) fn bounds_raw(f1: f64, f2: f64, f3: f64) -> Result<NoiseBounds, MetricError> {
-    let tw = crate::output::t_w_raw(f1, f2, f3)?;
-    if tw <= 0.0 {
-        return Err(MetricError::DegenerateWidth { t_w: tw });
-    }
-    let c = -f2 / f1;
-    let base = 2.0 * f1 / tw;
-    if !base.is_finite() {
-        return Err(MetricError::NonFiniteQuantity {
-            field: "vp_bound",
-            value: base,
-        });
-    }
-    Ok(NoiseBounds {
-        vp: (3.0f64.sqrt() / 2.0 * base, base),
-        t0: (c - 2.0 / 3.0 * tw, c - 1.0 / 3.0 * tw),
-        tp: (c - tw / 3.0, c + tw / 3.0),
-        wn: (tw, 2.0 / 3.0f64.sqrt() * tw),
-    })
 }
 
 #[cfg(test)]

@@ -86,7 +86,33 @@ impl MetricTwo {
     ///   with the failure recorded in the provenance.
     pub fn estimate(&self, f: &OutputMoments, m: f64) -> Result<NoiseEstimate, MetricError> {
         xtalk_obs::counter!("core.metric2.estimates").add(1);
-        estimate_raw(self.lambda, f.f1(), f.f2(), f.f3(), f.polarity(), m)
+        if !(m.is_finite() && m > 0.0) {
+            return Err(MetricError::BadShapeRatio { m });
+        }
+        let tw = f.t_w()?;
+        if tw <= 0.0 {
+            return Err(MetricError::DegenerateWidth { t_w: tw });
+        }
+        let (f1, f2) = (f.f1(), f.f2());
+        let a = m / self.lambda;
+        let poly = 72.0 * a.powi(4) + 72.0 * a.powi(3) + 24.0 * a * a + 6.0 * a + 1.0;
+        let t1 = (2.0 * a + 1.0) / poly.sqrt() * tw;
+        let vp = 2.0 * f1 / ((2.0 * a + 1.0) * t1);
+        let c = -f2 / f1;
+        let t0 = c - (6.0 * a * a + 6.0 * a + 2.0) / (6.0 * a + 3.0) * t1;
+        let tp = c - (6.0 * a * a - 1.0) / (6.0 * a + 3.0) * t1;
+        let t2 = m * t1;
+        NoiseEstimate {
+            vp,
+            t0,
+            t1,
+            t2,
+            tp,
+            wn: (m + 1.0) * t1,
+            m,
+            polarity: f.polarity(),
+        }
+        .validated()
     }
 
     /// Evaluates the metric with `m` from eq. (54) seeded by the input
@@ -100,44 +126,6 @@ impl MetricTwo {
         let m = shape_ratio_m(f.t_w()?, t_r)?;
         self.estimate(f, m)
     }
-}
-
-/// Lane-level body of [`MetricTwo::estimate`] shared with [`crate::batch`]:
-/// identical operation sequence minus the observability counter.
-pub(crate) fn estimate_raw(
-    lambda: f64,
-    f1: f64,
-    f2: f64,
-    f3: f64,
-    polarity: f64,
-    m: f64,
-) -> Result<NoiseEstimate, MetricError> {
-    if !(m.is_finite() && m > 0.0) {
-        return Err(MetricError::BadShapeRatio { m });
-    }
-    let tw = crate::output::t_w_raw(f1, f2, f3)?;
-    if tw <= 0.0 {
-        return Err(MetricError::DegenerateWidth { t_w: tw });
-    }
-    let a = m / lambda;
-    let poly = 72.0 * a.powi(4) + 72.0 * a.powi(3) + 24.0 * a * a + 6.0 * a + 1.0;
-    let t1 = (2.0 * a + 1.0) / poly.sqrt() * tw;
-    let vp = 2.0 * f1 / ((2.0 * a + 1.0) * t1);
-    let c = -f2 / f1;
-    let t0 = c - (6.0 * a * a + 6.0 * a + 2.0) / (6.0 * a + 3.0) * t1;
-    let tp = c - (6.0 * a * a - 1.0) / (6.0 * a + 3.0) * t1;
-    let t2 = m * t1;
-    NoiseEstimate {
-        vp,
-        t0,
-        t1,
-        t2,
-        tp,
-        wn: (m + 1.0) * t1,
-        m,
-        polarity,
-    }
-    .validated()
 }
 
 #[cfg(test)]

@@ -139,28 +139,22 @@ impl OutputMoments {
     /// [`MetricError::NonPhysicalMoments`] when the radicand is negative
     /// beyond floating-point cancellation distance, or not finite.
     pub fn t_w(&self) -> Result<f64, MetricError> {
-        t_w_raw(self.f1, self.f2, self.f3)
-    }
-}
-
-/// Lane-level form of [`OutputMoments::t_w`] shared with [`crate::batch`]:
-/// identical operation sequence, raw moments in.
-pub(crate) fn t_w_raw(f1: f64, f2: f64, f3: f64) -> Result<f64, MetricError> {
-    let r = f2 / f1;
-    let positive_term = 36.0 * f3 / f1;
-    let negative_term = 18.0 * r * r;
-    let tw2 = positive_term - negative_term;
-    if tw2 > 0.0 && tw2.is_finite() {
-        return Ok(tw2.sqrt());
-    }
-    // Cancellation guard: each term carries O(eps) relative error, so
-    // a radicand within eps-distance of zero (relative to the terms'
-    // magnitude) is "zero" — clamp rather than reject.
-    let scale = positive_term.abs().max(negative_term);
-    if tw2.is_finite() && tw2.abs() <= CANCELLATION_TOL * scale {
-        Ok(0.0)
-    } else {
-        Err(MetricError::NonPhysicalMoments { tw_squared: tw2 })
+        let r = self.f2 / self.f1;
+        let positive_term = 36.0 * self.f3 / self.f1;
+        let negative_term = 18.0 * r * r;
+        let tw2 = positive_term - negative_term;
+        if tw2 > 0.0 && tw2.is_finite() {
+            return Ok(tw2.sqrt());
+        }
+        // Cancellation guard: each term carries O(eps) relative error, so
+        // a radicand within eps-distance of zero (relative to the terms'
+        // magnitude) is "zero" — clamp rather than reject.
+        let scale = positive_term.abs().max(negative_term);
+        if tw2.is_finite() && tw2.abs() <= CANCELLATION_TOL * scale {
+            Ok(0.0)
+        } else {
+            Err(MetricError::NonPhysicalMoments { tw_squared: tw2 })
+        }
     }
 }
 

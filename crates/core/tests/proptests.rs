@@ -13,10 +13,7 @@ use proptest::prelude::*;
 use xtalk_circuit::signal::InputSignal;
 use xtalk_circuit::{NetRole, NetworkBuilder};
 use xtalk_core::template::{LinExpTemplate, PwlTemplate};
-use xtalk_core::{
-    MetricKind, MetricOne, MetricTwo, MomentBatch, NoiseAnalyzer, OutputMoments, RobustAnalyzer,
-    LAMBDA,
-};
+use xtalk_core::{MetricOne, MetricTwo, OutputMoments, RobustAnalyzer, LAMBDA};
 
 /// Realistic interconnect parameter ranges (seconds, normalized volts).
 fn params() -> impl Strategy<Value = (f64, f64, f64, f64)> {
@@ -294,90 +291,5 @@ proptest! {
         let est2 = MetricTwo::default().estimate(&f, m).unwrap();
         let ratio = est2.vp / est1.vp;
         prop_assert!((0.4..2.13).contains(&ratio), "vp ratio {ratio}");
-    }
-}
-
-/// One random batch lane: raw moments (mostly template-shaped, sometimes
-/// wild — including combinations the metrics reject) plus a rise time that
-/// is sometimes zero (the ideal-step dispatch branch).
-fn moment_source() -> impl Strategy<Value = (f64, f64, f64, f64, f64)> {
-    fn tr() -> impl Strategy<Value = f64> {
-        prop_oneof![
-            4 => 1e-13..1e-9f64,
-            1 => Just(0.0),
-        ]
-    }
-    fn polarity() -> impl Strategy<Value = f64> {
-        prop_oneof![2 => Just(1.0), 1 => Just(-1.0)]
-    }
-    prop_oneof![
-        4 => (params(), polarity(), tr()).prop_map(|((t0, t1, m, vp), pol, tr)| {
-            let [e1, e2, e3] = PwlTemplate::new(t0, t1, m, vp).moments();
-            (e1, e2, e3, pol, tr)
-        }),
-        2 => (params(), polarity(), tr()).prop_map(|((t0, t1, m, vp), pol, tr)| {
-            let [e1, e2, e3] = LinExpTemplate::new(t0, t1, m, LAMBDA, vp).moments();
-            (e1, e2, e3, pol, tr)
-        }),
-        1 => (1e-20..1e-9f64, -1e-18..1e-18f64, -1e-27..1e-27f64, polarity(), tr()),
-    ]
-}
-
-proptest! {
-    // The ISSUE's bit-identity contract: 1000 random batches, every lane
-    // byte-for-byte equal to the scalar metric path.
-    #![proptest_config(ProptestConfig::with_cases(1000))]
-
-    #[test]
-    fn batch_kernel_is_bit_identical_to_scalar_metrics(
-        sources in prop::collection::vec(moment_source(), 1..8),
-    ) {
-        // The SoA batch evaluator's contract: every lane returns exactly
-        // what the scalar dispatch returns — Ok fields equal to the bit,
-        // errors the same variant and payload.
-        let lanes: Vec<(OutputMoments, f64)> = sources
-            .into_iter()
-            .filter_map(|(f1, f2, f3, pol, tr)| {
-                Some((OutputMoments::from_raw(f1, f2, f3, pol).ok()?, tr))
-            })
-            .collect();
-        let mut batch = MomentBatch::with_capacity(lanes.len());
-        for (f, tr) in &lanes {
-            batch.push(f, *tr);
-        }
-        for kind in [MetricKind::One, MetricKind::OneSymmetric, MetricKind::Two] {
-            let est = batch.estimates(kind);
-            for (i, (f, tr)) in lanes.iter().enumerate() {
-                let want = NoiseAnalyzer::estimate_for(f, *tr, kind);
-                match (est.result(i), want) {
-                    (Ok(g), Ok(w)) => {
-                        for (a, b) in [
-                            (g.vp, w.vp), (g.t0, w.t0), (g.t1, w.t1), (g.t2, w.t2),
-                            (g.tp, w.tp), (g.wn, w.wn), (g.m, w.m), (g.polarity, w.polarity),
-                        ] {
-                            prop_assert_eq!(a.to_bits(), b.to_bits(), "{} vs {}", a, b);
-                        }
-                    }
-                    (Err(g), Err(w)) => {
-                        prop_assert_eq!(format!("{g:?}"), format!("{w:?}"));
-                    }
-                    (g, w) => prop_assert!(false, "ok/err mismatch: {:?} vs {:?}", g, w),
-                }
-            }
-        }
-        // Bounds lanes obey the same contract against the scalar entry.
-        let bounds = batch.bounds();
-        for (i, (f, _)) in lanes.iter().enumerate() {
-            match (bounds.result(i), MetricOne::bounds(f)) {
-                (Ok(g), Ok(w)) => {
-                    for (a, b) in [(g.vp, w.vp), (g.t0, w.t0), (g.tp, w.tp), (g.wn, w.wn)] {
-                        prop_assert_eq!(a.0.to_bits(), b.0.to_bits());
-                        prop_assert_eq!(a.1.to_bits(), b.1.to_bits());
-                    }
-                }
-                (Err(g), Err(w)) => prop_assert_eq!(format!("{g:?}"), format!("{w:?}")),
-                (g, w) => prop_assert!(false, "ok/err mismatch: {:?} vs {:?}", g, w),
-            }
-        }
     }
 }

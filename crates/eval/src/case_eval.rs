@@ -1,6 +1,6 @@
 use std::fmt;
 use xtalk_core::baselines::{devgan, lumped_pi, vittal, yu_one_pole, yu_two_pole, BaselineEstimate};
-use xtalk_core::{MetricError, MetricKind, MomentBatch, NoiseAnalyzer, OutputMoments};
+use xtalk_core::{MetricError, MetricKind, NoiseAnalyzer, OutputMoments};
 use xtalk_moments::{tree, TwoPoleFit};
 use xtalk_sim::{golden_noise_with, NoiseWaveformParams, SimWorkspace};
 use xtalk_tech::sweep::SweepCase;
@@ -156,47 +156,6 @@ pub fn evaluate_case_with(
     case: &SweepCase,
     workspace: &mut SimWorkspace,
 ) -> Result<CaseOutcome, String> {
-    let prepared = prepare_case_with(case, workspace)?;
-    let new_one = NoiseAnalyzer::estimate_for(&prepared.moments, prepared.t_r, MetricKind::One)
-        .map(full)
-        .map_err(|e| format!("new metric I: {e}"))?;
-    let new_two = NoiseAnalyzer::estimate_for(&prepared.moments, prepared.t_r, MetricKind::Two)
-        .map(full)
-        .map_err(|e| format!("new metric II: {e}"))?;
-    Ok(prepared.into_outcome(new_one, new_two))
-}
-
-/// A case with its golden simulation, moments and baseline metrics done,
-/// waiting for the batched closed-form stage ([`finalize_outcomes`]).
-pub(crate) struct PreparedCase {
-    golden: NoiseWaveformParams,
-    /// Prior-art estimates in `[yu1, yu2, devgan, vittal]` order.
-    baselines: [Option<BaselineEstimate>; 4],
-    lumped_vp: Option<f64>,
-    moments: OutputMoments,
-    t_r: f64,
-}
-
-impl PreparedCase {
-    fn into_outcome(self, new_one: BaselineEstimate, new_two: BaselineEstimate) -> CaseOutcome {
-        let [yu1, yu2, dev, vit] = self.baselines;
-        CaseOutcome {
-            golden: self.golden,
-            estimates: [yu1, yu2, dev, vit, Some(new_one), Some(new_two)],
-            lumped_vp: self.lumped_vp,
-        }
-    }
-}
-
-/// Everything in [`evaluate_case_with`] except the closed-form metric
-/// formulas: golden simulation, screening, output moments and prior-art
-/// baselines. The parallel sweep runs this per case, then evaluates the
-/// paper's metrics over all prepared cases at once through the
-/// structure-of-arrays kernel (bit-identical to the scalar path).
-pub(crate) fn prepare_case_with(
-    case: &SweepCase,
-    workspace: &mut SimWorkspace,
-) -> Result<PreparedCase, String> {
     let net = &case.network;
     let agg = case.aggressor;
     let input = &case.input;
@@ -219,9 +178,8 @@ pub(crate) fn prepare_case_with(
         .map_err(|e| format!("moments: {e}"))?;
     let b1_shared = tree::open_circuit_b1(net);
 
-    // The moment lane the closed-form metrics consume; a case whose
-    // coupling vanishes at the output fails here with the same skip reason
-    // the scalar metric path reports.
+    // The moments the closed-form metrics consume; a case whose coupling
+    // vanishes at the output is skipped with the metric's own reason.
     let moments = OutputMoments::from_transfer(&h, input)
         .map_err(|e| format!("new metric I: {e}"))?;
 
@@ -234,48 +192,18 @@ pub(crate) fn prepare_case_with(
     let vit = Some(vittal(h[1], b1_shared, input));
     let lumped_vp = lumped_pi(net, agg, input).ok().and_then(|e| e.vp);
 
-    Ok(PreparedCase {
+    let t_r = input.effective_rise_time();
+    let new_one = NoiseAnalyzer::estimate_for(&moments, t_r, MetricKind::One)
+        .map(full)
+        .map_err(|e| format!("new metric I: {e}"))?;
+    let new_two = NoiseAnalyzer::estimate_for(&moments, t_r, MetricKind::Two)
+        .map(full)
+        .map_err(|e| format!("new metric II: {e}"))?;
+    Ok(CaseOutcome {
         golden,
-        baselines: [yu1, yu2, dev, vit],
+        estimates: [yu1, yu2, dev, vit, Some(new_one), Some(new_two)],
         lumped_vp,
-        moments,
-        t_r: input.effective_rise_time(),
     })
-}
-
-/// The batched closed-form stage: evaluates Metric I and II over every
-/// prepared case through [`MomentBatch`] (flat arrays, amortized counters)
-/// and assembles the final outcomes in case order. Lane values are
-/// bit-identical to the per-case scalar path of [`evaluate_case_with`],
-/// and failed lanes reproduce its skip reasons.
-pub(crate) fn finalize_outcomes(
-    prepared: Vec<Result<PreparedCase, String>>,
-) -> Vec<Result<CaseOutcome, String>> {
-    let _span = xtalk_obs::span!("eval.metrics");
-    let mut batch = MomentBatch::with_capacity(prepared.iter().filter(|p| p.is_ok()).count());
-    for p in prepared.iter().flatten() {
-        batch.push(&p.moments, p.t_r);
-    }
-    let one = batch.estimates(MetricKind::One);
-    let two = batch.estimates(MetricKind::Two);
-    let mut lane = 0usize;
-    prepared
-        .into_iter()
-        .map(|p| {
-            let p = p?;
-            let i = lane;
-            lane += 1;
-            let new_one = one
-                .result(i)
-                .map(full)
-                .map_err(|e| format!("new metric I: {e}"))?;
-            let new_two = two
-                .result(i)
-                .map(full)
-                .map_err(|e| format!("new metric II: {e}"))?;
-            Ok(p.into_outcome(new_one, new_two))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -283,30 +211,6 @@ mod tests {
     use super::*;
     use xtalk_tech::sweep::{two_pin_cases, SweepConfig};
     use xtalk_tech::{CouplingDirection, Technology};
-
-    #[test]
-    fn batched_stage_matches_scalar_path() {
-        // The SoA stage must reproduce the scalar per-case path exactly:
-        // same outcomes (bit-identical fields) and same skip reasons.
-        let tech = Technology::p25();
-        let cfg = SweepConfig {
-            cases: 8,
-            seed: 7,
-            corner_fraction: 0.2,
-        };
-        let cases = two_pin_cases(&tech, CouplingDirection::FarEnd, &cfg).cases;
-        let mut ws = SimWorkspace::new();
-        let prepared: Vec<_> = cases
-            .iter()
-            .map(|c| prepare_case_with(c, &mut ws))
-            .collect();
-        let batched = finalize_outcomes(prepared);
-        assert_eq!(batched.len(), cases.len());
-        for (case, b) in cases.iter().zip(&batched) {
-            let scalar = evaluate_case_with(case, &mut ws);
-            assert_eq!(format!("{b:?}"), format!("{scalar:?}"));
-        }
-    }
 
     #[test]
     fn outcome_exposes_predictions_per_method() {

@@ -120,12 +120,8 @@ pub fn evaluate_cases(cases: &[SweepCase], progress: bool) -> TableStats {
 
 /// Evaluates a pre-generated case list on up to `jobs` workers.
 ///
-/// Each worker reuses one [`SimWorkspace`] across its cases and runs the
-/// per-case stage (golden simulation, moments, prior-art baselines); the
-/// paper's closed-form metrics are then evaluated over all surviving
-/// cases at once through the structure-of-arrays kernel
-/// ([`xtalk_core::MomentBatch`]), whose lanes are bit-identical to the
-/// scalar [`evaluate_case`] path. Outcomes are folded into the statistics
+/// Each worker reuses one [`SimWorkspace`] across its cases and runs
+/// [`evaluate_case_with`] on each. Outcomes are folded into the statistics
 /// in case order, so the accumulated `TableStats` (extremes, means,
 /// reservoir quantiles, skip ordering) are bit-identical to a serial run.
 ///
@@ -138,9 +134,9 @@ pub fn evaluate_cases_jobs(cases: &[SweepCase], progress: bool, jobs: Jobs) -> T
     let _table_span = xtalk_obs::span!("eval.table");
     let done = AtomicUsize::new(0);
     let progress = progress && !xtalk_obs::quiet();
-    let prepared = par_map_indexed_with(cases, jobs, SimWorkspace::new, |ws, _, case| {
+    let outcomes = par_map_indexed_with(cases, jobs, SimWorkspace::new, |ws, _, case| {
         let case_span = xtalk_obs::span!("eval.case");
-        let result = case_eval::prepare_case_with(case, ws);
+        let result = evaluate_case_with(case, ws);
         drop(case_span); // per-case latency excludes the progress I/O
         if progress {
             let k = done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -151,7 +147,6 @@ pub fn evaluate_cases_jobs(cases: &[SweepCase], progress: bool, jobs: Jobs) -> T
         result
     })
     .unwrap_or_else(|e| panic!("case evaluation failed: {e}"));
-    let outcomes = case_eval::finalize_outcomes(prepared);
 
     let mut stats = TableStats::new();
     let mut skipped = 0u64;

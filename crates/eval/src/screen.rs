@@ -50,6 +50,7 @@ use xtalk_circuit::spice::{DeckLimits, SpiceParseError};
 use xtalk_core::superpose::{worst_case, TimingWindow};
 use xtalk_core::{FallbackPolicy, RobustAnalyzer, Rung};
 use xtalk_exec::{par_map_indexed_with, Jobs};
+use xtalk_obs::json::{json_num, json_str};
 use xtalk_sim::{golden_noise_tiered, GoldenOpts, SimWorkspace};
 
 /// Aggressor input waveform shape used for screening.
@@ -574,39 +575,6 @@ fn comma(i: usize, len: usize) -> &'static str {
     } else {
         ""
     }
-}
-
-/// JSON number: finite floats print via Rust's shortest-round-trip
-/// `Display` (deterministic); non-finite values become quoted strings.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else if v.is_nan() {
-        "\"NaN\"".to_string()
-    } else if v > 0.0 {
-        "\"inf\"".to_string()
-    } else {
-        "\"-inf\"".to_string()
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

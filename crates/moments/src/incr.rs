@@ -1,10 +1,20 @@
-//! Incrementally-repairable tree moment engine.
+//! The `O(n)` tree moment engine, with incremental repair.
 //!
-//! [`TreeMomentEngine`](crate::TreeMomentEngine) recomputes every moment
-//! vector from scratch on each call — `O(order · (n + k))` over the whole
-//! network. Inside a what-if loop (move one wire, resize one driver) that
-//! is pure waste: the conductance matrix is block-diagonal per net, so a
-//! value change on net *B* can only perturb
+//! The conductance matrix of a coupled-tree network is block-diagonal per
+//! net (nets are resistively disjoint), and each block is tree-structured,
+//! so `G·x = b` solves in two `O(n)` passes per net:
+//!
+//! 1. leaves→root: accumulate the subtree injection sums `S_i`;
+//! 2. top-down: `V_root = R_drv·S_root`, then `V_i = V_parent + r_i·S_i`.
+//!
+//! The capacitance matvec in the moment recursion `G·m_k = −C·m_{k−1}` is
+//! `O(#caps)`, so a transfer function costs `O(order · (n + k))` — against
+//! `O(n³)` for the dense [`crate::MomentEngine`], which stays the
+//! reference (both are exact; they are cross-checked on randomized
+//! branching networks in the tests).
+//!
+//! Inside a what-if loop (move one wire, resize one driver) most of that
+//! work repeats: a value change on net *B* can only perturb
 //!
 //! * the `G`-solve of *B*'s own block (driver or wire resistance), and
 //! * the `−C·m_{k−1}` right-hand sides whose *rows* live on *B* (its own
@@ -24,26 +34,23 @@
 //!
 //! where `N(·)` is coupling adjacency, `gdirty` marks nets whose
 //! conductances changed and `cdirty` nets whose capacitor rows changed.
-//! Clean blocks are reused verbatim.
+//! Clean blocks are reused verbatim. A cold cache runs the same per-block
+//! kernel with every block dirty.
 //!
-//! **Bit-identity.** The per-block kernels perform *exactly* the same
-//! floating-point operations in the same order as the global kernels:
-//! `solve_g`'s two passes never cross nets (parent links stay within a
-//! net, and the global order lists each net contiguously), and the rhs
-//! accumulation preserves the per-row relative order of `C` entries. So
-//! a repaired cache is bit-identical to a from-scratch recompute — the
-//! property the `incremental` audit family enforces end to end. The
-//! dirty sets are conservative supersets; recomputing a block whose
-//! inputs did not change reproduces the identical bits.
+//! **Bit-identity.** Every block is always computed by the same kernel
+//! from the same inputs in the same floating-point order: the rhs
+//! accumulation keeps the per-row relative order of the `C` entries, and
+//! the dirty sets are conservative supersets. So a repaired cache is
+//! bit-identical to a cold build on the edited network — the property the
+//! `incremental` audit family enforces end to end.
 
 use crate::MomentError;
-use std::collections::HashMap;
 use xtalk_circuit::{NetId, Network, NodeId};
 
 /// Moment-block repair statistics for one engine (monotonic totals).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrStats {
-    /// Per-net moment blocks recomputed (full builds and repairs).
+    /// Per-net moment blocks solved (cold builds and repairs).
     pub blocks_recomputed: u64,
     /// Per-net moment blocks reused verbatim from cache during repair.
     pub blocks_reused: u64,
@@ -53,16 +60,16 @@ pub struct IncrStats {
     pub refreshes_clean: u64,
 }
 
-/// Owned, cache-carrying variant of [`crate::TreeMomentEngine`] that
-/// repairs its moment vectors after value-only network edits instead of
-/// recomputing them (see the [module docs](self) for the invalidation
-/// rule and the bit-identity argument).
+/// The `O(n)` tree moment engine: it caches the moment vectors of each
+/// queried source net and repairs them after value-only network edits
+/// instead of recomputing them (see the [module docs](self) for the
+/// kernel, the invalidation rule and the bit-identity argument).
 ///
 /// # Examples
 ///
 /// ```
 /// use xtalk_circuit::{Delta, NetRole, NetworkBuilder};
-/// use xtalk_moments::{IncrTreeEngine, TreeMomentEngine};
+/// use xtalk_moments::IncrTreeEngine;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut b = NetworkBuilder::new();
@@ -84,10 +91,9 @@ pub struct IncrStats {
 /// incr.refresh(&network);
 /// let after = incr.transfer_taylor(a, network.victim_output())?;
 ///
-/// // Repaired answer is bit-identical to a from-scratch recompute.
-/// let full = TreeMomentEngine::new(&network)
-///     .transfer_taylor(a, network.victim_output(), 4)?;
-/// assert!(after.iter().zip(&full).all(|(x, y)| x.to_bits() == y.to_bits()));
+/// // Repaired answer is bit-identical to a cold build.
+/// let cold = IncrTreeEngine::new(&network, 4).transfer_taylor(a, network.victim_output())?;
+/// assert!(after.iter().zip(&cold).all(|(x, y)| x.to_bits() == y.to_bits()));
 /// assert!(before[1] < after[1]);
 /// # Ok(())
 /// # }
@@ -119,8 +125,8 @@ pub struct IncrTreeEngine {
     net_c_entries: Vec<Vec<(usize, usize, f64)>>,
     /// Coupling adjacency over nets (sorted, deduplicated).
     net_neighbors: Vec<Vec<usize>>,
-    /// Cached moment vectors per driven (source) net.
-    cache: HashMap<usize, Vec<Vec<f64>>>,
+    /// Cached moment vectors per driven (source) net, indexed by net.
+    cache: Vec<Option<Vec<Vec<f64>>>>,
     /// Nets whose conductances (driver or wire R) changed since repair.
     gdirty: Vec<bool>,
     cdirty: Vec<bool>,
@@ -166,9 +172,8 @@ impl IncrTreeEngine {
             net_ranges.push((start, order.len()));
         }
 
-        // Reference construction order — must match TreeMomentEngine so
-        // the per-row relative order (and hence every floating-point
-        // accumulation) is identical.
+        // Fixed construction order: `refresh` diffs against it, and the
+        // per-row relative order fixes every floating-point accumulation.
         let mut c_entries = Vec::new();
         for gc in network.ground_caps() {
             c_entries.push((gc.node.index(), gc.node.index(), gc.farads));
@@ -218,7 +223,7 @@ impl IncrTreeEngine {
             c_entries,
             net_c_entries,
             net_neighbors,
-            cache: HashMap::new(),
+            cache: vec![None; num_nets],
             gdirty: vec![false; num_nets],
             cdirty: vec![false; num_nets],
             any_dirty: false,
@@ -319,8 +324,7 @@ impl IncrTreeEngine {
     /// # Errors
     ///
     /// Currently infallible for validated networks; the `Result` mirrors
-    /// [`crate::TreeMomentEngine::transfer_taylor`] so callers can treat
-    /// the engines interchangeably.
+    /// [`crate::MomentEngine::transfer_taylor`].
     ///
     /// # Panics
     ///
@@ -336,7 +340,7 @@ impl IncrTreeEngine {
 
     /// The cached moment vectors for driven net `net`, computing or
     /// repairing as needed. Same contract as
-    /// [`crate::TreeMomentEngine::moment_vectors`] at the order fixed in
+    /// [`crate::MomentEngine::moment_vectors`] at the order fixed in
     /// [`IncrTreeEngine::new`].
     ///
     /// # Errors
@@ -348,12 +352,12 @@ impl IncrTreeEngine {
             self.repair_all();
         }
         let src = net.index();
-        if !self.cache.contains_key(&src) {
-            let vectors = self.full_compute(src);
-            self.stats.blocks_recomputed += (self.moment_order * self.num_nets) as u64;
-            self.cache.insert(src, vectors);
+        if self.cache[src].is_none() {
+            let mut vectors = vec![vec![0.0; self.n]; self.moment_order];
+            self.stats.blocks_recomputed += self.recompute(src, &mut vectors, true);
+            self.cache[src] = Some(vectors);
         }
-        Ok(self.cache.get(&src).expect("just inserted"))
+        Ok(self.cache[src].as_deref().expect("just computed"))
     }
 
     /// Monotonic repair statistics.
@@ -366,61 +370,16 @@ impl IncrTreeEngine {
     /// flags, then clears them.
     fn repair_all(&mut self) {
         let _span = xtalk_obs::span!("moments.incr_repair");
-        let sources: Vec<usize> = self.cache.keys().copied().collect();
         let mut recomputed = 0u64;
-        let mut reused = 0u64;
-        for src in sources {
-            let mut vectors = self.cache.remove(&src).expect("listed source");
-            // m0 depends only on the source net's driver (R·(1/R) is not
-            // always exactly 1.0), so its sole non-zero block is dirty
-            // iff that net's conductances changed.
-            let mut dirty_prev = vec![false; self.num_nets];
-            if self.gdirty[src] {
-                let mut rhs = vec![0.0; self.n];
-                rhs[self.driver_node[src]] = 1.0 / self.driver_ohms[src];
-                self.solve_block(src, &rhs, &mut vectors[0]);
-                dirty_prev[src] = true;
-                recomputed += 1;
-                reused += (self.num_nets - 1) as u64;
-            } else {
-                reused += self.num_nets as u64;
+        let mut cached = 0u64;
+        for src in 0..self.num_nets {
+            if let Some(mut vectors) = self.cache[src].take() {
+                recomputed += self.recompute(src, &mut vectors, false);
+                cached += 1;
+                self.cache[src] = Some(vectors);
             }
-            let mut rhs = vec![0.0; self.n];
-            for k in 1..self.moment_order {
-                let mut dirty = self.gdirty.clone();
-                for b in 0..self.num_nets {
-                    if self.cdirty[b] || dirty_prev[b] {
-                        dirty[b] = true;
-                    }
-                    if dirty_prev[b] {
-                        for &nb in &self.net_neighbors[b] {
-                            dirty[nb] = true;
-                        }
-                    }
-                }
-                let (prev, rest) = vectors.split_at_mut(k);
-                let prev = &prev[k - 1];
-                let cur = &mut rest[0];
-                #[allow(clippy::needless_range_loop)]
-                for b in 0..self.num_nets {
-                    if !dirty[b] {
-                        reused += 1;
-                        continue;
-                    }
-                    recomputed += 1;
-                    let (s, e) = self.net_ranges[b];
-                    for &node in &self.order[s..e] {
-                        rhs[node] = 0.0;
-                    }
-                    for &(i, j, c) in &self.net_c_entries[b] {
-                        rhs[i] -= c * prev[j];
-                    }
-                    self.solve_block(b, &rhs, cur);
-                }
-                dirty_prev = dirty;
-            }
-            self.cache.insert(src, vectors);
         }
+        let reused = cached * (self.moment_order * self.num_nets) as u64 - recomputed;
         self.stats.blocks_recomputed += recomputed;
         self.stats.blocks_reused += reused;
         xtalk_obs::counter!(perf: "incr.moments.blocks.recomputed").add(recomputed);
@@ -430,81 +389,84 @@ impl IncrTreeEngine {
         self.any_dirty = false;
     }
 
-    /// Per-net `G`-solve: the global two-pass kernel restricted to one
-    /// net's contiguous slice of the traversal order. Writes the block's
-    /// voltages into `out`; other entries are untouched.
-    fn solve_block(&self, b: usize, rhs: &[f64], out: &mut [f64]) {
+    /// Recomputes the dirty blocks of source net `src`'s moment vectors
+    /// in place — every block when `cold`, else those the dirty flags
+    /// reach — and returns how many blocks it solved.
+    fn recompute(&self, src: usize, vectors: &mut [Vec<f64>], cold: bool) -> u64 {
+        let mut recomputed = 0u64;
+        let mut rhs = vec![0.0; self.n];
+        // m0 is non-zero only on the source net's block and depends only
+        // on its driver (R·(1/R) is not always exactly 1.0).
+        let mut dirty_prev = vec![false; self.num_nets];
+        if cold || self.gdirty[src] {
+            rhs[self.driver_node[src]] = 1.0 / self.driver_ohms[src];
+            self.solve_block(src, &mut rhs, &mut vectors[0]);
+            dirty_prev[src] = true;
+            recomputed += 1;
+        }
+        for k in 1..self.moment_order {
+            let mut dirty = if cold {
+                vec![true; self.num_nets]
+            } else {
+                self.gdirty.clone()
+            };
+            for b in 0..self.num_nets {
+                if self.cdirty[b] || dirty_prev[b] {
+                    dirty[b] = true;
+                }
+                if dirty_prev[b] {
+                    for &nb in &self.net_neighbors[b] {
+                        dirty[nb] = true;
+                    }
+                }
+            }
+            let (prev, rest) = vectors.split_at_mut(k);
+            let prev = &prev[k - 1];
+            let cur = &mut rest[0];
+            for (b, _) in dirty.iter().enumerate().filter(|(_, d)| **d) {
+                recomputed += 1;
+                let (s, e) = self.net_ranges[b];
+                for &node in &self.order[s..e] {
+                    rhs[node] = 0.0;
+                }
+                for &(i, j, c) in &self.net_c_entries[b] {
+                    rhs[i] -= c * prev[j];
+                }
+                self.solve_block(b, &mut rhs, cur);
+            }
+            dirty_prev = dirty;
+        }
+        recomputed
+    }
+
+    /// Per-net `G`-solve over net `b`'s contiguous slice of the traversal
+    /// order (parents precede children). The block's `rhs` entries are
+    /// overwritten with their subtree injection sums; its voltages go into
+    /// `out`, other entries of both are untouched.
+    fn solve_block(&self, b: usize, rhs: &mut [f64], out: &mut [f64]) {
         let (s, e) = self.net_ranges[b];
         let block = &self.order[s..e];
-        let mut subtree = vec![0.0; block.len()];
-        // Local slot of each node is its position in the block; parents
-        // precede children, so a reverse pass accumulates subtree sums.
-        let mut slot = HashMap::with_capacity(block.len());
-        for (i, &node) in block.iter().enumerate() {
-            slot.insert(node, i);
-            subtree[i] = rhs[node];
-        }
-        for i in (0..block.len()).rev() {
-            let p = self.parent[block[i]];
-            if p != usize::MAX {
-                let pi = slot[&p];
-                subtree[pi] += subtree[i];
-            }
-        }
-        for (i, &node) in block.iter().enumerate() {
-            let p = self.parent[node];
-            if p == usize::MAX {
-                out[node] = self.root_res[node] * subtree[i];
-            } else {
-                out[node] = out[p] + self.parent_res[node] * subtree[i];
-            }
-        }
-    }
-
-    /// From-scratch moment computation for one source net — the exact
-    /// global kernel of [`crate::TreeMomentEngine::moment_vectors`], so
-    /// fresh caches are bit-identical to the reference engine.
-    fn full_compute(&self, src: usize) -> Vec<Vec<f64>> {
-        let mut rhs = vec![0.0; self.n];
-        rhs[self.driver_node[src]] = 1.0 / self.driver_ohms[src];
-        let mut out = vec![self.solve_g(&rhs)];
-        for _ in 1..self.moment_order {
-            let prev = out.last().expect("at least m0");
-            rhs.fill(0.0);
-            for &(i, j, c) in &self.c_entries {
-                rhs[i] -= c * prev[j];
-            }
-            out.push(self.solve_g(&rhs));
-        }
-        out
-    }
-
-    fn solve_g(&self, b: &[f64]) -> Vec<f64> {
-        let n = b.len();
-        let mut subtree = b.to_vec();
-        for &node in self.order.iter().rev() {
+        for &node in block.iter().rev() {
             let p = self.parent[node];
             if p != usize::MAX {
-                subtree[p] += subtree[node];
+                rhs[p] += rhs[node];
             }
         }
-        let mut v = vec![0.0; n];
-        for &node in &self.order {
+        for &node in block {
             let p = self.parent[node];
             if p == usize::MAX {
-                v[node] = self.root_res[node] * subtree[node];
+                out[node] = self.root_res[node] * rhs[node];
             } else {
-                v[node] = v[p] + self.parent_res[node] * subtree[node];
+                out[node] = out[p] + self.parent_res[node] * rhs[node];
             }
         }
-        v
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TreeMomentEngine;
+    use crate::MomentEngine;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use xtalk_circuit::{Delta, NetRole, NetworkBuilder};
@@ -556,18 +518,144 @@ mod tests {
         }
     }
 
+    /// A two-net network: a randomly branching victim tree and an
+    /// aggressor chain randomly coupled into it.
+    fn random_coupled_tree(rng: &mut StdRng) -> Network {
+        let mut b = NetworkBuilder::new();
+        let v = b.add_net("v", NetRole::Victim);
+        let a = b.add_net("a", NetRole::Aggressor);
+        let n_victim = rng.random_range(3..12);
+        let mut vnodes = vec![b.add_node(v, "v0")];
+        b.add_driver(v, vnodes[0], rng.random_range(50.0..1000.0)).unwrap();
+        for i in 1..n_victim {
+            let parent = vnodes[rng.random_range(0..vnodes.len())];
+            let node = b.add_node(v, format!("v{i}"));
+            b.add_resistor(parent, node, rng.random_range(2.0..150.0)).unwrap();
+            b.add_ground_cap(node, rng.random_range(1e-15..20e-15)).unwrap();
+            vnodes.push(node);
+        }
+        b.add_sink(*vnodes.last().unwrap(), rng.random_range(2e-15..30e-15)).unwrap();
+        b.set_victim_output(*vnodes.last().unwrap());
+
+        let mut ap = b.add_node(a, "a0");
+        b.add_driver(a, ap, rng.random_range(50.0..1000.0)).unwrap();
+        for i in 1..rng.random_range(2..8) {
+            let node = b.add_node(a, format!("a{i}"));
+            b.add_resistor(ap, node, rng.random_range(2.0..150.0)).unwrap();
+            b.add_ground_cap(node, rng.random_range(1e-15..20e-15)).unwrap();
+            if rng.random_bool(0.7) {
+                let vn = vnodes[rng.random_range(0..vnodes.len())];
+                b.add_coupling_cap(node, vn, rng.random_range(2e-15..40e-15)).unwrap();
+            }
+            ap = node;
+        }
+        b.add_sink(ap, rng.random_range(2e-15..30e-15)).unwrap();
+        b.build().unwrap()
+    }
+
+    /// Asserts that `incr` answers every source net of `net` bit for bit
+    /// like a cold engine built on `net`.
+    fn assert_matches_cold(incr: &mut IncrTreeEngine, net: &Network, order: usize, what: &str) {
+        let mut cold = IncrTreeEngine::new(net, order);
+        for (s, _) in net.nets() {
+            let hc = cold.transfer_taylor(s, net.victim_output()).unwrap();
+            let hi = incr.transfer_taylor(s, net.victim_output()).unwrap();
+            assert_bits_eq(&hc, &hi, what);
+        }
+    }
+
     #[test]
-    fn fresh_compute_is_bit_identical_to_tree_engine() {
+    fn matches_dense_engine_on_random_networks() {
+        let mut rng = StdRng::seed_from_u64(0x7e3e);
+        for case in 0..100 {
+            let net = random_coupled_tree(&mut rng);
+            let dense = MomentEngine::new(&net).unwrap();
+            let mut fast = IncrTreeEngine::new(&net, 5);
+            for (src, _) in net.nets() {
+                let hd = dense.transfer_taylor(src, net.victim_output(), 5).unwrap();
+                let hf = fast.transfer_taylor(src, net.victim_output()).unwrap();
+                for k in 0..5 {
+                    assert!(
+                        (hd[k] - hf[k]).abs() <= 1e-9 * hd[k].abs().max(1e-40),
+                        "case {case} h[{k}]: dense {} vs tree {}",
+                        hd[k],
+                        hf[k]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dc_solution_is_indicator_of_driven_net() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let net = random_coupled_tree(&mut rng);
+        let mut fast = IncrTreeEngine::new(&net, 1);
+        let agg = net.aggressor_nets().next().unwrap().0;
+        let m = fast.moment_vectors(agg).unwrap();
+        for (id, info) in net.nets() {
+            let expect = if id == agg { 1.0 } else { 0.0 };
+            for &node in info.nodes() {
+                assert!(
+                    (m[0][node.index()] - expect).abs() < 1e-12,
+                    "node {node} of {id}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn scales_to_thousands_of_nodes() {
+        // A 4000-node pair of coupled chains: far beyond what the dense
+        // engine could factor in reasonable test time.
+        let mut b = NetworkBuilder::new();
+        let v = b.add_net("v", NetRole::Victim);
+        let a = b.add_net("a", NetRole::Aggressor);
+        let mut vp = b.add_node(v, "v0");
+        let mut ap = b.add_node(a, "a0");
+        b.add_driver(v, vp, 200.0).unwrap();
+        b.add_driver(a, ap, 200.0).unwrap();
+        let n = 2000;
+        for i in 1..=n {
+            let vn = b.add_node(v, format!("v{i}"));
+            let an = b.add_node(a, format!("a{i}"));
+            b.add_resistor(vp, vn, 1.0).unwrap();
+            b.add_resistor(ap, an, 1.0).unwrap();
+            b.add_ground_cap(vn, 0.5e-15).unwrap();
+            b.add_ground_cap(an, 0.5e-15).unwrap();
+            b.add_coupling_cap(an, vn, 0.8e-15).unwrap();
+            vp = vn;
+            ap = an;
+        }
+        b.add_sink(vp, 10e-15).unwrap();
+        b.add_sink(ap, 10e-15).unwrap();
+        b.set_victim_output(vp);
+        let net = b.build().unwrap();
+
+        let mut fast = IncrTreeEngine::new(&net, 4);
+        let agg = net.aggressor_nets().next().unwrap().0;
+        let h = fast.transfer_taylor(agg, net.victim_output()).unwrap();
+        // a1 equals the closed form on this monster too.
+        let a1 = crate::tree::coupling_a1(&net, agg, net.victim_output());
+        assert!((h[1] - a1).abs() < 1e-9 * a1);
+    }
+
+    #[test]
+    fn cold_answers_do_not_depend_on_query_order() {
+        // Each source's cache entry is computed on its own: querying the
+        // sources in reverse order gives the same bits.
         for (lanes, segs) in [(2, 3), (4, 5), (6, 2)] {
             let net = chain_cluster(lanes, segs);
-            let reference = TreeMomentEngine::new(&net);
-            let mut incr = IncrTreeEngine::new(&net, 4);
-            for (src, _) in net.nets() {
-                let hr = reference
-                    .transfer_taylor(src, net.victim_output(), 4)
-                    .unwrap();
-                let hi = incr.transfer_taylor(src, net.victim_output()).unwrap();
-                assert_bits_eq(&hr, &hi, "fresh");
+            let mut forward = IncrTreeEngine::new(&net, 4);
+            let mut backward = IncrTreeEngine::new(&net, 4);
+            let sources: Vec<_> = net.nets().map(|(id, _)| id).collect();
+            for &s in sources.iter().rev() {
+                backward.transfer_taylor(s, net.victim_output()).unwrap();
+            }
+            for &s in &sources {
+                let hf = forward.transfer_taylor(s, net.victim_output()).unwrap();
+                let hb = backward.transfer_taylor(s, net.victim_output()).unwrap();
+                assert_bits_eq(&hf, &hb, "query order");
             }
         }
     }
@@ -592,14 +680,7 @@ mod tests {
         for d in deltas {
             net.apply_delta(&d).unwrap();
             assert!(incr.refresh(&net), "{d} should dirty the engine");
-            let reference = TreeMomentEngine::new(&net);
-            for &s in &sources {
-                let hr = reference
-                    .transfer_taylor(s, net.victim_output(), 4)
-                    .unwrap();
-                let hi = incr.transfer_taylor(s, net.victim_output()).unwrap();
-                assert_bits_eq(&hr, &hi, "after delta");
-            }
+            assert_matches_cold(&mut incr, &net, 4, "after delta");
         }
     }
 
@@ -632,13 +713,49 @@ mod tests {
                 undo.push(net.apply_delta(&d).unwrap());
             }
             incr.refresh(&net);
-            let reference = TreeMomentEngine::new(&net);
-            for &s in &sources {
-                let hr = reference
-                    .transfer_taylor(s, net.victim_output(), 4)
-                    .unwrap();
-                let hi = incr.transfer_taylor(s, net.victim_output()).unwrap();
-                assert_bits_eq(&hr, &hi, &format!("step {step}"));
+            assert_matches_cold(&mut incr, &net, 4, &format!("step {step}"));
+        }
+    }
+
+    #[test]
+    fn repair_on_random_branching_networks_is_bit_identical_to_cold() {
+        // Value deltas of every kind on branching victim trees, so the
+        // block kernel's repair path sees more than chain lanes.
+        let mut rng = StdRng::seed_from_u64(0xb4a7);
+        for case in 0..40 {
+            let mut net = random_coupled_tree(&mut rng);
+            let mut incr = IncrTreeEngine::new(&net, 5);
+            assert_matches_cold(&mut incr, &net, 5, &format!("case {case} cold"));
+            let nets: Vec<_> = net.nets().map(|(id, _)| id).collect();
+            for step in 0..8 {
+                let d = match rng.random_range(0..5) {
+                    0 => Delta::ResizeDriver {
+                        net: nets[rng.random_range(0..nets.len())],
+                        ohms: rng.random_range(50.0..1000.0),
+                    },
+                    1 => {
+                        let n = nets[rng.random_range(0..nets.len())];
+                        Delta::SetSinkCap {
+                            node: net.net(n).sinks()[0].node,
+                            farads: rng.random_range(2e-15..30e-15),
+                        }
+                    }
+                    2 if !net.coupling_caps().is_empty() => Delta::SetCouplingCap {
+                        index: rng.random_range(0..net.coupling_caps().len()),
+                        farads: rng.random_range(2e-15..40e-15),
+                    },
+                    3 => Delta::SetResistor {
+                        index: rng.random_range(0..net.resistors().len()),
+                        ohms: rng.random_range(2.0..150.0),
+                    },
+                    _ => Delta::SetGroundCap {
+                        index: rng.random_range(0..net.ground_caps().len()),
+                        farads: rng.random_range(1e-15..20e-15),
+                    },
+                };
+                net.apply_delta(&d).unwrap();
+                assert!(incr.refresh(&net), "{d} should dirty the engine");
+                assert_matches_cold(&mut incr, &net, 5, &format!("case {case} step {step}"));
             }
         }
     }

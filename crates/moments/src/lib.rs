@@ -61,11 +61,9 @@ pub mod incr;
 mod pade;
 pub mod three_pole;
 pub mod tree;
-mod tree_engine;
 
 pub use engine::MomentEngine;
 pub use error::MomentError;
 pub use incr::{IncrStats, IncrTreeEngine};
 pub use pade::{PoleKind, TwoPoleFit};
 pub use three_pole::{CubicRoots, ThreePoleFit};
-pub use tree_engine::TreeMomentEngine;

@@ -9,6 +9,7 @@
 //! add the performance-class metrics for humans and profiling.
 
 use crate::hist::{bucket_lower_bound, bucket_upper_bound, BUCKETS, OVERFLOW_BUCKET};
+use crate::json::json_str;
 use crate::registry::{with_registry, MetricRef};
 use crate::Class;
 use std::fmt::Write as _;
@@ -363,7 +364,7 @@ impl Snapshot {
             self.counters.iter().filter(|c| keep(c.class)).collect();
         for (i, c) in counters.iter().enumerate() {
             let sep = if i + 1 < counters.len() { "," } else { "" };
-            let _ = write!(out, "\n    \"{}\": {}{sep}", escape_json(&c.name), c.value);
+            let _ = write!(out, "\n    {}: {}{sep}", json_str(&c.name), c.value);
         }
         if counters.is_empty() {
             out.push_str("},\n");
@@ -377,8 +378,8 @@ impl Snapshot {
             let sep = if i + 1 < histograms.len() { "," } else { "" };
             let _ = write!(
                 out,
-                "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"buckets\": [",
-                escape_json(&h.name),
+                "\n    {}: {{\"count\": {}, \"sum\": {}, \"buckets\": [",
+                json_str(&h.name),
                 h.count,
                 h.sum
             );
@@ -483,22 +484,6 @@ fn format_count(v: f64) -> String {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,11 +566,6 @@ mod tests {
             buckets: vec![],
         };
         assert_eq!(empty.quantile_upper_bound(0.5), None);
-    }
-
-    #[test]
-    fn escape_handles_quotes_and_controls() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\u000ad");
     }
 
     #[test]

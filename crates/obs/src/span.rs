@@ -25,8 +25,8 @@
 //! spans to the request that caused them without threading an id through
 //! every signature. Guards nest and restore the previous context on drop.
 
+use crate::json::json_str;
 use crate::registry::{LazyCounter, LazyHistogram};
-use crate::snapshot::escape_json;
 use crate::Class;
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -204,9 +204,9 @@ pub fn take_trace_json() -> String {
     for e in &events {
         let _ = write!(
             out,
-            ",\n{{\"name\": \"{}\", \"cat\": \"xtalk\", \"ph\": \"X\", \
+            ",\n{{\"name\": {}, \"cat\": \"xtalk\", \"ph\": \"X\", \
              \"ts\": {:.3}, \"dur\": {:.3}, \"pid\": 1, \"tid\": {}",
-            escape_json(e.name),
+            json_str(e.name),
             e.ts_ns as f64 / 1e3,
             e.dur_ns as f64 / 1e3,
             e.tid,

@@ -364,24 +364,8 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Appends `s` to `out` as a JSON string literal (quotes included).
-pub fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
+/// The workspace's one JSON string escaper (quotes included).
+pub use xtalk_obs::json::write_escaped;
 
 /// Renders an `f64` the way the protocol expects: finite numbers in Rust's
 /// shortest round-trip form, non-finite as `null` (JSON has no NaN).
