@@ -972,6 +972,23 @@ impl DeckIndex {
         self.node_net[out.node as usize].map(|n| n as usize)
     }
 
+    /// Sorts `nodes` by name — the order every materialized network
+    /// adds its nodes in — and records each one's position in
+    /// `node_slot`, indexed by node id. Sorting an island's nodes gives
+    /// the whole deck's order restricted to the island, since any subset
+    /// of a sorted sequence is sorted.
+    pub(crate) fn order_nodes(&self, nodes: &mut [u32], node_slot: &mut [u32]) {
+        nodes.sort_unstable_by_key(|&id| self.names[id as usize].as_str());
+        for (slot, &node) in nodes.iter().enumerate() {
+            node_slot[node as usize] = u32::try_from(slot).unwrap_or(u32::MAX);
+        }
+    }
+
+    /// Number of interned node names, resolved or not.
+    pub(crate) fn node_name_count(&self) -> usize {
+        self.names.len()
+    }
+
     /// Materializes the whole deck as one validated [`Network`] with the
     /// deck's declared roles — the engine underneath
     /// [`parse_deck`](super::parse_deck).
@@ -983,68 +1000,80 @@ impl DeckIndex {
     /// [`SpiceParseError::Invalid`] when the described structure fails
     /// [`NetworkBuilder::build`] validation.
     pub fn into_network(self) -> Result<Network, SpiceParseError> {
-        self.materialize(None)
+        let mut nodes: Vec<u32> = (0..self.names.len())
+            .filter(|&id| self.node_net[id].is_some())
+            .map(|id| u32::try_from(id).unwrap_or(u32::MAX))
+            .collect();
+        let mut node_slot = vec![u32::MAX; self.names.len()];
+        self.order_nodes(&mut nodes, &mut node_slot);
+        let longest = [
+            self.nets.len(),
+            self.resistors.len(),
+            self.ground_caps.len(),
+            self.sinks.len(),
+            self.coupling_caps.len(),
+        ]
+        .into_iter()
+        .max()
+        .unwrap_or(0);
+        let every: Vec<u32> = (0..u32::try_from(longest).unwrap_or(u32::MAX)).collect();
+        self.materialize(&Selection {
+            victim: None,
+            nets: &every[..self.nets.len()],
+            nodes: &nodes,
+            node_slot: &node_slot,
+            resistors: &every[..self.resistors.len()],
+            ground_caps: &every[..self.ground_caps.len()],
+            sinks: &every[..self.sinks.len()],
+            coupling_caps: &every[..self.coupling_caps.len()],
+        })
     }
 
-    /// Materializes either the whole deck (`selection == None`, deck
-    /// roles kept) or one coupled cluster (`selection == Some((members,
-    /// victim))`, roles reassigned: `victim` becomes the victim, every
-    /// other member an aggressor).
+    /// Materializes `sel` as one validated [`Network`]: the whole deck
+    /// with its declared roles (`sel.victim == None`, every index
+    /// selected), or one coupled island (`sel.victim == Some(net)`:
+    /// `net` becomes the victim, every other member an aggressor).
     ///
-    /// Both paths share one code path on purpose: nets are added in
-    /// declaration order, nodes in name-sorted order, elements in deck
-    /// order — so a cluster network is exactly the whole-deck network
-    /// with other clusters' rows deleted, and per-cluster analysis
-    /// results are bit-identical to the whole-deck path.
-    pub(crate) fn materialize(
-        &self,
-        selection: Option<(&[u32], u32)>,
-    ) -> Result<Network, SpiceParseError> {
-        let island = selection.is_some();
+    /// Both cases share this one code path on purpose: nets are added in
+    /// declaration order, nodes in name order, elements in deck order —
+    /// so an island network is exactly the whole-deck network with other
+    /// islands' rows deleted, and per-island analysis results are
+    /// bit-identical to the whole-deck path. The work is proportional to
+    /// the selection, not the deck.
+    pub(crate) fn materialize(&self, sel: &Selection<'_>) -> Result<Network, SpiceParseError> {
         let mut b = NetworkBuilder::new();
-        let mut net_ids: Vec<Option<NetId>> = vec![None; self.nets.len()];
-        match selection {
-            None => {
-                for (i, rn) in self.nets.iter().enumerate() {
-                    net_ids[i] = Some(b.add_net(rn.name.clone(), rn.role));
-                }
-            }
-            Some((members, victim)) => {
-                for &m in members {
-                    let role = if m == victim {
-                        NetRole::Victim
-                    } else {
-                        NetRole::Aggressor
-                    };
-                    net_ids[m as usize] = Some(b.add_net(self.nets[m as usize].name.clone(), role));
-                }
-            }
-        }
-
-        // Deterministic node order: sort selected nodes by name (the
-        // subset of a sorted sequence is sorted, so cluster order
-        // matches whole-deck order restricted to the cluster).
-        let mut node_names: Vec<&str> = (0..self.names.len())
-            .filter(|&id| {
-                self.node_net[id].is_some_and(|n| net_ids[n as usize].is_some())
+        let net_ids: Vec<NetId> = sel
+            .nets
+            .iter()
+            .map(|&net| {
+                let rn = &self.nets[net as usize];
+                let role = match sel.victim {
+                    None => rn.role,
+                    Some(victim) if victim == net => NetRole::Victim,
+                    Some(_) => NetRole::Aggressor,
+                };
+                b.add_net(rn.name.clone(), role)
             })
-            .map(|id| self.names[id].as_str())
             .collect();
-        node_names.sort_unstable();
-        let mut node_ids: HashMap<&str, NodeId> = HashMap::with_capacity(node_names.len());
-        for name in node_names {
-            let owner = self.node_net[self.ids[name] as usize].expect("selected nodes are owned");
-            let net = net_ids[owner as usize].expect("selected nodes' nets are selected");
-            node_ids.insert(name, b.add_node(net, name));
-        }
-        // In whole-deck mode a missing node is an unreachable-node error
-        // at the referencing token; in cluster mode the element simply
-        // belongs to another cluster (or dangles) and is skipped.
-        let resolve = |nu: &NodeUse| -> Result<Option<NodeId>, SpiceParseError> {
-            match node_ids.get(self.names[nu.node as usize].as_str()) {
-                Some(&id) => Ok(Some(id)),
-                None if island => Ok(None),
-                None => Err(SpiceParseError::Malformed {
+        let node_ids: Vec<NodeId> = sel
+            .nodes
+            .iter()
+            .map(|&node| {
+                let owner = self.node_net[node as usize].expect("selected nodes are resolved");
+                let net = sel
+                    .nets
+                    .binary_search(&owner)
+                    .expect("selected nodes' nets are selected");
+                b.add_node(net_ids[net], self.names[node as usize].as_str())
+            })
+            .collect();
+        // Only the whole deck can reference a node it did not select:
+        // one unreachable from any driver, an error at the referencing
+        // token. An island's lists hold only elements whose endpoints
+        // all resolve inside it.
+        let resolve = |nu: &NodeUse| -> Result<NodeId, SpiceParseError> {
+            match sel.node_slot[nu.node as usize] {
+                u32::MAX => Err(SpiceParseError::Malformed {
                     line: nu.line,
                     col: nu.col,
                     detail: format!(
@@ -1052,55 +1081,65 @@ impl DeckIndex {
                         self.names[nu.node as usize]
                     ),
                 }),
+                slot => Ok(node_ids[slot as usize]),
             }
         };
 
-        for (i, rn) in self.nets.iter().enumerate() {
-            let Some(net) = net_ids[i] else { continue };
-            let (nu, ohms) = rn.driver.as_ref().expect("resolve() checked drivers");
-            let Some(node) = resolve(nu)? else { continue };
-            b.add_driver(net, node, *ohms)?;
+        for (&net, &id) in sel.nets.iter().zip(&net_ids) {
+            let (nu, ohms) = self.nets[net as usize]
+                .driver
+                .as_ref()
+                .expect("resolve() checked drivers");
+            b.add_driver(id, resolve(nu)?, *ohms)?;
         }
-        for (a, bb, ohms) in &self.resistors {
-            let (Some(x), Some(y)) = (resolve(a)?, resolve(bb)?) else {
-                continue;
-            };
+        for &k in sel.resistors {
+            let (a, bb, ohms) = &self.resistors[k as usize];
+            let (x, y) = (resolve(a)?, resolve(bb)?);
             b.add_resistor(x, y, *ohms)?;
         }
-        for (n, f) in &self.ground_caps {
-            let Some(x) = resolve(n)? else { continue };
-            b.add_ground_cap(x, *f)?;
+        for &k in sel.ground_caps {
+            let (n, f) = &self.ground_caps[k as usize];
+            b.add_ground_cap(resolve(n)?, *f)?;
         }
-        for (n, f) in &self.sinks {
-            let Some(x) = resolve(n)? else { continue };
-            b.add_sink(x, *f)?;
+        for &k in sel.sinks {
+            let (n, f) = &self.sinks[k as usize];
+            b.add_sink(resolve(n)?, *f)?;
         }
-        for (a, bb, f) in &self.coupling_caps {
-            let (Some(x), Some(y)) = (resolve(a)?, resolve(bb)?) else {
-                continue;
-            };
+        for &k in sel.coupling_caps {
+            let (a, bb, f) = &self.coupling_caps[k as usize];
+            let (x, y) = (resolve(a)?, resolve(bb)?);
             b.add_coupling_cap(x, y, *f)?;
         }
         if let Some(out) = &self.output {
-            match selection {
-                None => {
-                    let node = resolve(out)?.expect("whole-deck resolve errors instead");
-                    b.set_victim_output(node);
-                }
-                Some((_, victim)) => {
-                    // Only meaningful when the output node sits on this
-                    // cluster's victim; otherwise the victim's first
-                    // sink is the (builder-default) observation node.
-                    if self.node_net[out.node as usize] == Some(victim) {
-                        if let Some(node) = resolve(out)? {
-                            b.set_victim_output(node);
-                        }
-                    }
-                }
+            // An island keeps the output node only when it sits on the
+            // island's victim; otherwise the victim's first sink is the
+            // (builder-default) observation node.
+            if sel.victim.map_or(true, |victim| {
+                self.node_net[out.node as usize] == Some(victim)
+            }) {
+                b.set_victim_output(resolve(out)?);
             }
         }
         Ok(b.build()?)
     }
+}
+
+/// The part of a [`DeckIndex`] that [`DeckIndex::materialize`] builds:
+/// ascending net indices, resolved node ids in name order, and element
+/// indices into each element table in deck order.
+pub(crate) struct Selection<'a> {
+    /// `None`: the deck's declared roles; `Some(net)`: `net` is the
+    /// victim and every other selected net an aggressor.
+    pub(crate) victim: Option<u32>,
+    pub(crate) nets: &'a [u32],
+    pub(crate) nodes: &'a [u32],
+    /// Each selected node's position in `nodes`, indexed by node id
+    /// ([`u32::MAX`] for nodes unreachable from any driver).
+    pub(crate) node_slot: &'a [u32],
+    pub(crate) resistors: &'a [u32],
+    pub(crate) ground_caps: &'a [u32],
+    pub(crate) sinks: &'a [u32],
+    pub(crate) coupling_caps: &'a [u32],
 }
 
 #[cfg(test)]

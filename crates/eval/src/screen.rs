@@ -380,7 +380,11 @@ fn screen_net(
         error: None,
     };
 
-    let network = match clusters.victim_network(index, net) {
+    let island = {
+        let _span = xtalk_obs::span!("screen.island");
+        clusters.victim_network(index, net)
+    };
+    let network = match island {
         Ok(n) => n,
         Err(e) => {
             screen.error = Some(e.to_string());
