@@ -9,7 +9,7 @@
 
 use crate::ErrorEnvelopes;
 use std::fmt;
-use xtalk_obs::json::{json_num, json_str};
+use xtalk_obs::json::{comma, json_num, json_str};
 
 /// One violated invariant on one audited case. Everything needed to
 /// reproduce the case is in the finding: regenerate it with
@@ -257,14 +257,6 @@ impl fmt::Display for AuditReport {
             }
         }
         Ok(())
-    }
-}
-
-fn comma(i: usize, len: usize) -> &'static str {
-    if i + 1 < len {
-        ","
-    } else {
-        ""
     }
 }
 

@@ -50,7 +50,7 @@ use xtalk_circuit::spice::{DeckLimits, SpiceParseError};
 use xtalk_core::superpose::{worst_case, TimingWindow};
 use xtalk_core::{FallbackPolicy, RobustAnalyzer, Rung};
 use xtalk_exec::{par_map_indexed_with, Jobs};
-use xtalk_obs::json::{json_num, json_str};
+use xtalk_obs::json::{comma, json_num, json_str};
 use xtalk_sim::{golden_noise_tiered, GoldenOpts, SimWorkspace};
 
 /// Aggressor input waveform shape used for screening.
@@ -570,14 +570,6 @@ impl fmt::Display for ScreenReport {
             )?;
         }
         Ok(())
-    }
-}
-
-fn comma(i: usize, len: usize) -> &'static str {
-    if i + 1 < len {
-        ","
-    } else {
-        ""
     }
 }
 

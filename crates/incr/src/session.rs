@@ -1,13 +1,15 @@
 //! The [`WhatIf`] session: apply/revert deltas, query memoized reports.
 
-use crate::view::View;
+use crate::view::{View, ViewIndex};
+use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 use xtalk_circuit::{signal::InputSignal, CircuitError, Delta, DeltaError, NetId, Network};
 use xtalk_core::memo::{MemoStats, StageMemo};
 use xtalk_core::superpose::{worst_case, TimingWindow};
 use xtalk_core::{MetricKind, OutputMoments};
 use xtalk_exec::{ExecError, Jobs};
-use xtalk_obs::json::{json_num, json_str};
+use xtalk_obs::json::{comma, json_num, json_str};
 
 /// Session parameters: the aggressor input shape and which metric ranks
 /// the nets.
@@ -76,8 +78,9 @@ impl From<DeltaError> for WhatIfError {
 pub struct NetNoise {
     /// Base net index.
     pub index: usize,
-    /// Net name.
-    pub net: String,
+    /// Net name, shared with the session (cloning a row allocates
+    /// nothing).
+    pub net: Arc<str>,
     /// Worst-case combined peak over all aggressors (× `Vdd`).
     pub vp: f64,
     /// Observation time of the combined worst case (s).
@@ -204,8 +207,12 @@ pub struct SessionStats {
 pub struct WhatIf {
     base: Network,
     views: Vec<View>,
+    index: ViewIndex,
     noise: Vec<Option<NetNoise>>,
     dirty: Vec<bool>,
+    /// The views flagged in `dirty`, in flagging order.
+    dirty_list: Vec<u32>,
+    ranking: Ranking,
     memo: StageMemo,
     undo: Vec<Delta>,
     input: InputSignal,
@@ -229,15 +236,23 @@ impl WhatIf {
         })
         .map_err(WhatIfError::Exec)?;
         let mut views = Vec::with_capacity(built.len());
+        let mut members = Vec::with_capacity(built.len());
         for v in built {
-            views.push(v?);
+            let (view, m) = v?;
+            views.push(view);
+            members.push(m);
         }
+        let index = ViewIndex::new(&base, &members);
         let n = views.len();
         Ok(WhatIf {
             base,
             views,
+            index,
             noise: vec![None; n],
-            dirty: vec![false; n],
+            // Every view starts dirty: the first report computes them all.
+            dirty: vec![true; n],
+            dirty_list: (0..n as u32).collect(),
+            ranking: Ranking::new(n),
             memo: StageMemo::new(),
             undo: Vec::new(),
             input: InputSignal::rising_ramp(config.arrival, config.slew),
@@ -301,31 +316,42 @@ impl WhatIf {
     }
 
     /// The ranked noise report at the current network state, recomputing
-    /// only dirty views.
+    /// only dirty views and re-ranking only their rows.
     pub fn report(&mut self) -> NoiseReport {
         let _span = xtalk_obs::span!("incr.report");
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        for (i, view) in self.views.iter_mut().enumerate() {
-            self.stats.queries += 1;
-            if self.dirty[i] || self.noise[i].is_none() {
-                self.noise[i] = Some(compute_view(view, &self.input, self.kind, &mut self.memo));
-                self.dirty[i] = false;
-                misses += 1;
-            } else {
-                hits += 1;
-            }
+        // Ascending view order, as a full scan would recompute them: the
+        // metric memo's hit/miss split depends on the order.
+        let mut dirty = std::mem::take(&mut self.dirty_list);
+        dirty.sort_unstable();
+        let mut moved = Vec::with_capacity(dirty.len());
+        for &i in &dirty {
+            let i = i as usize;
+            let fresh = compute_view(&mut self.views[i], &self.input, self.kind, &mut self.memo);
+            moved.push((i, fresh.vp));
+            self.noise[i] = Some(fresh);
+            self.dirty[i] = false;
         }
+        dirty.clear();
+        self.dirty_list = dirty;
+        let queries = self.views.len() as u64;
+        let misses = moved.len() as u64;
+        let hits = queries - misses;
+        self.stats.queries += queries;
         self.stats.hits += hits;
         self.stats.misses += misses;
         xtalk_obs::counter!(perf: "incr.query.hit").add(hits);
         xtalk_obs::counter!(perf: "incr.query.miss").add(misses);
-        let mut nets: Vec<NetNoise> = self.noise.iter().flatten().cloned().collect();
-        nets.sort_by(|a, b| {
-            b.vp.partial_cmp(&a.vp)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.index.cmp(&b.index))
-        });
+        self.ranking.update(&moved);
+        let nets = self
+            .ranking
+            .order()
+            .iter()
+            .map(|&i| {
+                self.noise[i as usize]
+                    .clone()
+                    .expect("every view is computed")
+            })
+            .collect();
         NoiseReport { nets }
     }
 
@@ -334,16 +360,15 @@ impl WhatIf {
     fn push_delta(&mut self, delta: &Delta) -> Result<Delta, WhatIfError> {
         let inverse = self.base.apply_delta(delta)?;
         let mut invalidated = 0u64;
-        for (i, view) in self.views.iter_mut().enumerate() {
-            let Some(view_delta) = view.translate(delta) else {
-                continue;
-            };
+        for (i, view_delta) in self.index.translate(delta) {
+            let view = &mut self.views[i];
             view.network
                 .apply_delta(&view_delta)
                 .expect("a delta accepted by the base is valid in every view");
             view.engine.refresh(&view.network);
             if !self.dirty[i] {
                 self.dirty[i] = true;
+                self.dirty_list.push(i as u32);
                 if self.noise[i].is_some() {
                     invalidated += 1;
                 }
@@ -352,6 +377,89 @@ impl WhatIf {
         self.stats.invalidated += invalidated;
         xtalk_obs::counter!(perf: "incr.query.invalidated").add(invalidated);
         Ok(inverse)
+    }
+}
+
+/// The rank key order: `vp` descending, ties (`-0.0 == 0.0` included,
+/// as `partial_cmp` has it) by row index ascending. A NaN `vp` compares
+/// equal to everything, so the order is total only without NaNs.
+fn rank_cmp(a: (f64, u32), b: (f64, u32)) -> Ordering {
+    b.0.partial_cmp(&a.0)
+        .unwrap_or(Ordering::Equal)
+        .then(a.1.cmp(&b.1))
+}
+
+/// The report's rank order, kept up to date by moving only the rows
+/// whose `vp` changed.
+///
+/// Without NaNs [`rank_cmp`] is a strict total order (row indices are
+/// distinct), so exactly one permutation is sorted by it: the one a
+/// stable `sort_by` of the rows in index order produces. Removing each
+/// changed row at its old key and binary-inserting it at its new one
+/// keeps the order sorted, so it *is* that permutation. With a NaN
+/// present the comparator is not transitive and the result depends on
+/// the algorithm, so the ranking falls back to that very `sort_by`.
+#[derive(Debug)]
+struct Ranking {
+    /// Each row's `vp` as it is placed in `order` (NaN: never set).
+    keys: Vec<f64>,
+    /// Row indices in rank order.
+    order: Vec<u32>,
+    /// `order` is sorted by `rank_cmp` over `keys` and no key is NaN.
+    sorted: bool,
+}
+
+impl Ranking {
+    /// A ranking of `rows` rows whose first [`Ranking::update`] sorts.
+    fn new(rows: usize) -> Self {
+        Ranking {
+            keys: vec![f64::NAN; rows],
+            order: (0..rows as u32).collect(),
+            sorted: false,
+        }
+    }
+
+    /// Row indices in rank order.
+    fn order(&self) -> &[u32] {
+        &self.order
+    }
+
+    /// Sets row `i`'s key to `vp` for every `(i, vp)` in `changes` (each
+    /// row at most once) and brings the order up to date.
+    fn update(&mut self, changes: &[(usize, f64)]) {
+        if !self.sorted || changes.iter().any(|&(_, vp)| vp.is_nan()) {
+            for &(i, vp) in changes {
+                self.keys[i] = vp;
+            }
+            let keys = &self.keys;
+            self.order = (0..keys.len() as u32).collect();
+            self.order
+                .sort_by(|&a, &b| rank_cmp((keys[a as usize], a), (keys[b as usize], b)));
+            self.sorted = !keys.iter().any(|k| k.is_nan());
+            return;
+        }
+        // Take every changed row out at its old key first, so the rows
+        // left in `order` always sit at the keys they were placed with.
+        for &(i, vp) in changes {
+            if self.keys[i].to_bits() != vp.to_bits() {
+                let at = self.position((self.keys[i], i as u32));
+                self.order.remove(at.expect("a ranked row sits at its key"));
+            }
+        }
+        for &(i, vp) in changes {
+            if self.keys[i].to_bits() != vp.to_bits() {
+                self.keys[i] = vp;
+                let at = self.position((vp, i as u32));
+                self.order
+                    .insert(at.expect_err("a removed row is not ranked"), i as u32);
+            }
+        }
+    }
+
+    /// Binary search for `key` in the sorted order.
+    fn position(&self, key: (f64, u32)) -> Result<usize, usize> {
+        self.order
+            .binary_search_by(|&j| rank_cmp((self.keys[j as usize], j), key))
     }
 }
 
@@ -407,7 +515,7 @@ fn compute_view(
     let combined = worst_case(&contributions);
     NetNoise {
         index,
-        net: network.victim_net().name().to_string(),
+        net: Arc::clone(&view.name),
         vp: combined.vp,
         at: combined.at,
         aligned: combined.aligned,
@@ -415,14 +523,6 @@ fn compute_view(
         bound_hi,
         aggressors,
         skipped,
-    }
-}
-
-fn comma(i: usize, len: usize) -> &'static str {
-    if i + 1 < len {
-        ","
-    } else {
-        ""
     }
 }
 
@@ -542,6 +642,79 @@ mod tests {
         assert!(m.misses > 0);
         let st = s.stats();
         assert_eq!(st.queries, st.hits + st.misses);
+    }
+
+    /// The ranking every report had before it was made incremental:
+    /// rows in index order, stably sorted by `vp` descending (NaN and
+    /// `±0.0` comparing equal) with ties by index.
+    fn reference_order(keys: &[f64]) -> Vec<u32> {
+        let mut rows: Vec<(f64, u32)> = keys.iter().copied().zip(0..).collect();
+        rows.sort_by(|a, b| {
+            b.0.partial_cmp(&a.0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.1.cmp(&b.1))
+        });
+        rows.into_iter().map(|(_, i)| i).collect()
+    }
+
+    #[test]
+    fn ranking_matches_a_full_sort_under_ties_signed_zeros_and_nans() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // A handful of values so ties are everywhere, both zeros among
+        // them; NaN is drawn separately and rarely.
+        const VALUES: [f64; 6] = [0.5, 0.25, 0.0, -0.0, 0.125, 1e-300];
+        let mut rng = StdRng::seed_from_u64(7);
+        let (mut nan_reports, mut ord_panics) = (0, 0);
+        for rows in [1usize, 2, 5, 40, 200] {
+            let mut keys: Vec<f64> =
+                (0..rows).map(|_| VALUES[rng.random_range(0..VALUES.len())]).collect();
+            let mut ranking = Ranking::new(rows);
+            let all: Vec<(usize, f64)> = keys.iter().copied().enumerate().collect();
+            ranking.update(&all);
+            assert_eq!(ranking.order(), reference_order(&keys));
+            for _ in 0..300 {
+                let mut changes: Vec<(usize, f64)> = Vec::new();
+                for _ in 0..rng.random_range(0..4usize) {
+                    let i = rng.random_range(0..rows);
+                    if changes.iter().all(|&(j, _)| j != i) {
+                        keys[i] = if rng.random_bool(0.03) {
+                            f64::NAN
+                        } else {
+                            VALUES[rng.random_range(0..VALUES.len())]
+                        };
+                        changes.push((i, keys[i]));
+                    }
+                }
+                nan_reports += usize::from(keys.iter().any(|k| k.is_nan()));
+                // With a NaN the comparator is not a total order, and the
+                // standard sort may panic on it; the ranking must then
+                // panic exactly when the reference does.
+                let got = catch_unwind(AssertUnwindSafe(|| {
+                    ranking.update(&changes);
+                    ranking.order().to_vec()
+                }));
+                let want = catch_unwind(|| reference_order(&keys));
+                match (got, want) {
+                    (Ok(got), Ok(want)) => assert_eq!(got, want, "keys {keys:?}"),
+                    (Err(_), Err(_)) => {
+                        ord_panics += 1;
+                        for k in keys.iter_mut().filter(|k| k.is_nan()) {
+                            *k = 0.25;
+                        }
+                        ranking = Ranking::new(rows);
+                        let all: Vec<(usize, f64)> = keys.iter().copied().enumerate().collect();
+                        ranking.update(&all);
+                    }
+                    (got, want) => panic!(
+                        "ranking panicked: {}, reference panicked: {}",
+                        got.is_err(),
+                        want.is_err()
+                    ),
+                }
+            }
+        }
+        assert!(nan_reports > ord_panics, "the script must exercise the NaN fallback");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The JSON text primitives every hand-written JSON emitter in the
-//! workspace shares: one string escaper and one number formatter.
+//! workspace shares: one string escaper, one number formatter and one
+//! list separator.
 
 /// Appends `s` to `out` as a JSON string literal, quotes included.
 /// Quotes, backslashes and control characters are escaped; `\n`, `\r`
@@ -42,6 +43,16 @@ pub fn json_num(v: f64) -> String {
     }
 }
 
+/// The separator after item `i` of a `len`-item JSON array or object:
+/// `","` before every item but the last, `""` after it.
+pub fn comma(i: usize, len: usize) -> &'static str {
+    if i + 1 < len {
+        ","
+    } else {
+        ""
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,6 +65,13 @@ mod tests {
         assert_eq!(json_str("\t"), r#""\t""#);
         assert_eq!(json_str("\u{1}"), r#""\u0001""#);
         assert_eq!(json_str("a\"b\\c\nd\u{1}é"), r#""a\"b\\c\nd\u0001é""#);
+    }
+
+    #[test]
+    fn comma_separates_all_but_the_last_item() {
+        let items: Vec<&str> = (0..3).map(|i| comma(i, 3)).collect();
+        assert_eq!(items, [",", ",", ""]);
+        assert_eq!(comma(0, 1), "");
     }
 
     #[test]

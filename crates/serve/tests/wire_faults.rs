@@ -14,7 +14,7 @@
 //! 4. every degraded/failed reply carries structured provenance
 //!    (a `code`, or per-row rung/failure details).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
 use std::time::Duration;
@@ -538,23 +538,32 @@ fn shutdown_rejects_new_requests_with_a_structured_reply() {
     // our line; both "shutting_down reply" and "clean disconnect" are
     // acceptable — what is not acceptable is a hung client or a served
     // request after shutdown.
-    client
-        .write_all(analyze_line(1, GOOD_DECK, "").as_bytes())
-        .expect("write");
-    client.write_all(b"\n").expect("write");
-    let mut line = String::new();
-    // A connection-reset error also counts as "disconnected": the
-    // acceptor may already have dropped the listener with this
-    // connection still in its backlog.
-    match BufReader::new(client.try_clone().expect("clone")).read_line(&mut line) {
-        Ok(n) if n > 0 => {
-            let reply = json::parse(line.trim_end()).expect("parses");
-            assert_eq!(
-                reply.get("code").and_then(Value::as_str),
-                Some("shutting_down")
-            );
+    let mut request = analyze_line(1, GOOD_DECK, "");
+    request.push('\n');
+    // A reset, broken pipe or abort, on the write or the read, also
+    // counts as "disconnected": the acceptor may already have dropped
+    // the listener with this connection still in its backlog.
+    match client.write_all(request.as_bytes()) {
+        Ok(()) => {
+            let mut line = String::new();
+            match BufReader::new(client.try_clone().expect("clone")).read_line(&mut line) {
+                Ok(n) if n > 0 => {
+                    let reply = json::parse(line.trim_end()).expect("parses");
+                    assert_eq!(
+                        reply.get("code").and_then(Value::as_str),
+                        Some("shutting_down")
+                    );
+                }
+                Ok(_) | Err(_) => {}
+            }
         }
-        Ok(_) | Err(_) => {}
+        Err(e) => assert!(
+            matches!(
+                e.kind(),
+                ErrorKind::ConnectionReset | ErrorKind::BrokenPipe | ErrorKind::ConnectionAborted
+            ),
+            "write failed other than by a disconnect: {e}"
+        ),
     }
     drop(client);
     server.run_until_drained();
