@@ -11,19 +11,25 @@
 //!    skipping of benign directives.
 //! 2. **Partition** nets into coupling islands with
 //!    [`CouplingClusters`](xtalk_circuit::cluster::CouplingClusters).
-//! 3. **Screen** every net as the victim of its island: validation →
-//!    moments → Metric II through the PR-1 resilience chain
-//!    ([`RobustAnalyzer`]), per-aggressor estimates combined by
-//!    worst-case superposition. Nets are ranked by
-//!    `peak noise / threshold`.
-//! 4. **Escalate** only nets whose ratio reaches
-//!    [`ScreenConfig::escalate_ratio`] to the tiered golden simulator
-//!    ([`golden_noise_tiered`]) for a reference peak.
+//! 3. **Screen** (`screen.analyze`) every net as the victim of its
+//!    island: validation → moments → Metric II through the resilience
+//!    chain ([`RobustAnalyzer`]), per-aggressor estimates combined by
+//!    worst-case superposition. This closed-form pass only *flags* nets
+//!    whose ratio `peak noise / threshold` reaches
+//!    [`ScreenConfig::escalate_ratio`]; nets are ranked by that ratio.
+//! 4. **Escalate** (`screen.escalate`) the flagged nets to the tiered
+//!    golden simulator for a reference peak. Flagged victims are
+//!    re-materialized in ascending net index, [`BATCH_LANES`] at a time
+//!    per worker, and handed to [`golden_noise_batch`], which marches
+//!    islands sharing one sparsity pattern in lockstep through the
+//!    lane-batched stepping kernel. Each result is bit-identical to a
+//!    per-net [`golden_noise_tiered`](xtalk_sim::golden_noise_tiered)
+//!    call; at most `jobs × BATCH_LANES` islands are alive at a time.
 //!
 //! Work is parallel over nets via [`xtalk_exec`], and the report —
 //! including its JSON rendering — is byte-identical at any `--jobs`
 //! value. A whole-deck [`Network`](xtalk_circuit::Network) is never
-//! built: peak memory follows the element table and the largest island,
+//! built: peak memory follows the element table and the largest islands,
 //! not the chip.
 //!
 //! # Examples
@@ -45,13 +51,17 @@ use std::io::BufRead;
 
 use xtalk_circuit::cluster::CouplingClusters;
 use xtalk_circuit::signal::InputSignal;
+use xtalk_circuit::NetId;
 use xtalk_circuit::spice::stream::{DeckIndex, StreamOptions};
 use xtalk_circuit::spice::{DeckLimits, SpiceParseError};
 use xtalk_core::superpose::{worst_case, TimingWindow};
 use xtalk_core::{FallbackPolicy, RobustAnalyzer, Rung};
-use xtalk_exec::{par_map_indexed_with, Jobs};
+use xtalk_exec::{par_map_indexed_with, par_map_stage_with, Jobs};
 use xtalk_obs::json::{comma, json_num, json_str};
-use xtalk_sim::{golden_noise_tiered, GoldenOpts, SimWorkspace};
+use xtalk_sim::{
+    golden_noise_batch, GoldenJob, GoldenOpts, GoldenTier, NoiseWaveformParams, SimWorkspace,
+    BATCH_LANES,
+};
 
 /// Aggressor input waveform shape used for screening.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,9 +241,12 @@ pub struct ScreenReport {
     pub nets: Vec<NetScreen>,
 }
 
-/// Interior result of one net's screen, before ranking.
+/// Interior result of one net's closed-form screen, before ranking.
 struct NetOutcome {
     screen: NetScreen,
+    /// The aggressor stimuli a flagged net escalates with (empty when
+    /// the net is not headed for the golden stage).
+    stimuli: Vec<(NetId, InputSignal)>,
 }
 
 /// Screens every net of the deck read from `reader`.
@@ -287,13 +300,17 @@ pub fn screen_deck<R: BufRead>(
     xtalk_obs::counter!("screen.clusters").add(clusters.len() as u64);
 
     let nets: Vec<usize> = (0..index.net_count()).collect();
-    let outcomes = {
+    let mut outcomes = {
         let _span = xtalk_obs::span!("screen.analyze");
-        par_map_indexed_with(&nets, config.jobs, SimWorkspace::new, |ws, _, &net| {
-            screen_net(&index, &clusters, config, ws, net)
+        par_map_indexed_with(&nets, config.jobs, || (), |(), _, &net| {
+            screen_net(&index, &clusters, config, net)
         })
         .map_err(|e| ScreenError::Worker(e.to_string()))?
     };
+    if config.escalate {
+        let _span = xtalk_obs::span!("screen.escalate");
+        escalate(&index, &clusters, config, &mut outcomes)?;
+    }
 
     let mut report = ScreenReport {
         nets_total: index.net_count(),
@@ -358,7 +375,6 @@ fn screen_net(
     index: &DeckIndex,
     clusters: &CouplingClusters,
     config: &ScreenConfig,
-    ws: &mut SimWorkspace,
     net: usize,
 ) -> NetOutcome {
     let cluster = clusters.cluster_of(net).expect("net within index range");
@@ -379,6 +395,7 @@ fn screen_net(
         golden_tier: None,
         error: None,
     };
+    let mut stimuli = Vec::new();
 
     let island = {
         let _span = xtalk_obs::span!("screen.island");
@@ -388,7 +405,7 @@ fn screen_net(
         Ok(n) => n,
         Err(e) => {
             screen.error = Some(e.to_string());
-            return NetOutcome { screen };
+            return NetOutcome { screen, stimuli };
         }
     };
     let policy = if config.strict {
@@ -400,7 +417,7 @@ fn screen_net(
         Ok(r) => r,
         Err(e) => {
             screen.error = Some(e.to_string());
-            return NetOutcome { screen };
+            return NetOutcome { screen, stimuli };
         }
     };
 
@@ -411,7 +428,6 @@ fn screen_net(
     let victim = network.victim();
     let mut contributions = Vec::new();
     let mut worst_rung: Option<Rung> = None;
-    let mut stimuli = Vec::new();
     for (agg, _) in network.nets() {
         if agg == victim || network.couplings_between(agg, victim).next().is_none() {
             continue;
@@ -430,7 +446,7 @@ fn screen_net(
             Err(e) => {
                 screen.degraded = true;
                 screen.error = Some(e.to_string());
-                return NetOutcome { screen };
+                return NetOutcome { screen, stimuli };
             }
         }
     }
@@ -448,15 +464,36 @@ fn screen_net(
         };
     }
     screen.escalated = !contributions.is_empty() && screen.ratio >= config.escalate_ratio;
-    if screen.escalated && config.escalate {
-        let _span = xtalk_obs::span!("screen.escalate");
-        match golden_noise_tiered(
-            &network,
-            &stimuli,
-            network.victim_output(),
-            ws,
-            &GoldenOpts::from_globals(),
-        ) {
+    if !(screen.escalated && config.escalate) {
+        stimuli = Vec::new();
+    }
+    NetOutcome { screen, stimuli }
+}
+
+/// The golden stage: runs every flagged net of `outcomes` (indexed by
+/// net) through [`golden_noise_batch`], `BATCH_LANES` nets per work item
+/// in ascending net index, and records each result on its net.
+fn escalate(
+    index: &DeckIndex,
+    clusters: &CouplingClusters,
+    config: &ScreenConfig,
+    outcomes: &mut [NetOutcome],
+) -> Result<(), ScreenError> {
+    let flagged: Vec<usize> = outcomes
+        .iter()
+        .filter(|o| o.screen.escalated)
+        .map(|o| o.screen.index)
+        .collect();
+    let chunks: Vec<&[usize]> = flagged.chunks(BATCH_LANES).collect();
+    let gopts = GoldenOpts::from_globals();
+    let outcomes_ro: &[NetOutcome] = outcomes;
+    let goldens = par_map_stage_with(&chunks, config.jobs, SimWorkspace::new, |ws, _, chunk| {
+        escalate_chunk(index, clusters, outcomes_ro, &gopts, ws, chunk)
+    })
+    .map_err(|e| ScreenError::Worker(e.to_string()))?;
+    for (net, golden) in flagged.iter().zip(goldens.into_iter().flatten()) {
+        let screen = &mut outcomes[*net].screen;
+        match golden {
             Ok((params, tier)) => {
                 screen.golden_vp = Some(params.vp);
                 screen.golden_tier = Some(tier.as_str());
@@ -470,7 +507,50 @@ fn screen_net(
             }
         }
     }
-    NetOutcome { screen }
+    Ok(())
+}
+
+/// Re-materializes the islands of one chunk of flagged nets and
+/// measures them in one [`golden_noise_batch`] call.
+fn escalate_chunk(
+    index: &DeckIndex,
+    clusters: &CouplingClusters,
+    outcomes: &[NetOutcome],
+    gopts: &GoldenOpts,
+    ws: &mut SimWorkspace,
+    chunk: &[usize],
+) -> Vec<Result<(NoiseWaveformParams, GoldenTier), String>> {
+    let islands: Vec<_> = chunk
+        .iter()
+        .map(|&net| {
+            let _span = xtalk_obs::span!("screen.island");
+            clusters.victim_network(index, net)
+        })
+        .collect();
+    let jobs: Vec<GoldenJob<'_>> = chunk
+        .iter()
+        .zip(&islands)
+        .filter_map(|(&net, island)| {
+            island.as_ref().ok().map(|network| GoldenJob {
+                network,
+                stimuli: &outcomes[net].stimuli,
+                node: network.victim_output(),
+            })
+        })
+        .collect();
+    let mut goldens = golden_noise_batch(&jobs, ws, gopts).into_iter();
+    islands
+        .iter()
+        .map(|island| match island {
+            Ok(_) => goldens
+                .next()
+                .expect("one result per job")
+                .map_err(|e| e.to_string()),
+            // The closed-form pass materialized this island already, so
+            // this only reports a deck index that changed under us.
+            Err(e) => Err(e.to_string()),
+        })
+        .collect()
 }
 
 impl ScreenReport {

@@ -217,13 +217,37 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &T) -> R + Sync,
 {
+    // Workload counters are per-batch/per-item and thus identical at any
+    // worker count; everything scheduling-dependent is Perf class.
+    xtalk_obs::counter!("exec.batches").add(1);
+    xtalk_obs::counter!("exec.items.total").add(items.len() as u64);
+    par_map_stage_with(items, jobs, init, f)
+}
+
+/// Like [`par_map_indexed_with`], for a follow-up stage over work a
+/// counted batch already submitted (screening's golden escalation of
+/// the nets its closed-form pass flagged): records no `exec.batches` /
+/// `exec.items.total` workload counts, so splitting one batch into
+/// stages leaves the deterministic metrics snapshot unchanged.
+///
+/// # Errors
+///
+/// As [`par_map_indexed`].
+pub fn par_map_stage_with<S, T, R, I, F>(
+    items: &[T],
+    jobs: Jobs,
+    init: I,
+    f: F,
+) -> Result<Vec<R>, ExecError>
+where
+    T: Sync,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> R + Sync,
+{
     let n = items.len();
     let workers = jobs.resolve().min(n);
     let _batch_span = xtalk_obs::span!("exec.par_map");
-    // Workload counters are per-batch/per-item and thus identical at any
-    // worker count; everything scheduling-dependent below is Perf class.
-    xtalk_obs::counter!("exec.batches").add(1);
-    xtalk_obs::counter!("exec.items.total").add(n as u64);
     // Sampled once per batch: probes inside the item loop stay free when
     // observability is off (no clock reads — the alloc-free test relies
     // on this path being inert).

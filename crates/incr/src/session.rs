@@ -381,41 +381,40 @@ impl WhatIf {
 }
 
 /// The rank key order: `vp` descending, ties (`-0.0 == 0.0` included,
-/// as `partial_cmp` has it) by row index ascending. A NaN `vp` compares
-/// equal to everything, so the order is total only without NaNs.
+/// as `partial_cmp` has it) by row index ascending, and NaN rows last
+/// (among themselves by row index). A strict total order, since row
+/// indices are distinct.
 fn rank_cmp(a: (f64, u32), b: (f64, u32)) -> Ordering {
-    b.0.partial_cmp(&a.0)
-        .unwrap_or(Ordering::Equal)
-        .then(a.1.cmp(&b.1))
+    match (a.0.is_nan(), b.0.is_nan()) {
+        // Never `None`: neither side is NaN.
+        (false, false) => b.0.partial_cmp(&a.0).unwrap_or(Ordering::Equal),
+        (a_nan, b_nan) => a_nan.cmp(&b_nan),
+    }
+    .then(a.1.cmp(&b.1))
 }
 
 /// The report's rank order, kept up to date by moving only the rows
 /// whose `vp` changed.
 ///
-/// Without NaNs [`rank_cmp`] is a strict total order (row indices are
-/// distinct), so exactly one permutation is sorted by it: the one a
-/// stable `sort_by` of the rows in index order produces. Removing each
+/// [`rank_cmp`] is a strict total order, so exactly one permutation is
+/// sorted by it: the one a `sort_by` of the rows produces. Removing each
 /// changed row at its old key and binary-inserting it at its new one
-/// keeps the order sorted, so it *is* that permutation. With a NaN
-/// present the comparator is not transitive and the result depends on
-/// the algorithm, so the ranking falls back to that very `sort_by`.
+/// keeps the order sorted, so it *is* that permutation.
 #[derive(Debug)]
 struct Ranking {
-    /// Each row's `vp` as it is placed in `order` (NaN: never set).
+    /// Each row's `vp` as it is placed in `order` (NaN until first set).
     keys: Vec<f64>,
     /// Row indices in rank order.
     order: Vec<u32>,
-    /// `order` is sorted by `rank_cmp` over `keys` and no key is NaN.
-    sorted: bool,
 }
 
 impl Ranking {
-    /// A ranking of `rows` rows whose first [`Ranking::update`] sorts.
+    /// A ranking of `rows` rows, all unset: NaN keys, so index order is
+    /// their rank order.
     fn new(rows: usize) -> Self {
         Ranking {
             keys: vec![f64::NAN; rows],
             order: (0..rows as u32).collect(),
-            sorted: false,
         }
     }
 
@@ -427,17 +426,6 @@ impl Ranking {
     /// Sets row `i`'s key to `vp` for every `(i, vp)` in `changes` (each
     /// row at most once) and brings the order up to date.
     fn update(&mut self, changes: &[(usize, f64)]) {
-        if !self.sorted || changes.iter().any(|&(_, vp)| vp.is_nan()) {
-            for &(i, vp) in changes {
-                self.keys[i] = vp;
-            }
-            let keys = &self.keys;
-            self.order = (0..keys.len() as u32).collect();
-            self.order
-                .sort_by(|&a, &b| rank_cmp((keys[a as usize], a), (keys[b as usize], b)));
-            self.sorted = !keys.iter().any(|k| k.is_nan());
-            return;
-        }
         // Take every changed row out at its old key first, so the rows
         // left in `order` always sit at the keys they were placed with.
         for &(i, vp) in changes {
@@ -644,14 +632,14 @@ mod tests {
         assert_eq!(st.queries, st.hits + st.misses);
     }
 
-    /// The ranking every report had before it was made incremental:
-    /// rows in index order, stably sorted by `vp` descending (NaN and
-    /// `±0.0` comparing equal) with ties by index.
+    /// The report's rank order by a full sort: rows by `vp` descending
+    /// (`±0.0` comparing equal), NaN rows last, ties by index.
     fn reference_order(keys: &[f64]) -> Vec<u32> {
         let mut rows: Vec<(f64, u32)> = keys.iter().copied().zip(0..).collect();
         rows.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
+            a.0.is_nan()
+                .cmp(&b.0.is_nan())
+                .then(b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal))
                 .then(a.1.cmp(&b.1))
         });
         rows.into_iter().map(|(_, i)| i).collect()
@@ -660,12 +648,11 @@ mod tests {
     #[test]
     fn ranking_matches_a_full_sort_under_ties_signed_zeros_and_nans() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        use std::panic::{catch_unwind, AssertUnwindSafe};
         // A handful of values so ties are everywhere, both zeros among
         // them; NaN is drawn separately and rarely.
         const VALUES: [f64; 6] = [0.5, 0.25, 0.0, -0.0, 0.125, 1e-300];
         let mut rng = StdRng::seed_from_u64(7);
-        let (mut nan_reports, mut ord_panics) = (0, 0);
+        let mut nan_reports = 0;
         for rows in [1usize, 2, 5, 40, 200] {
             let mut keys: Vec<f64> =
                 (0..rows).map(|_| VALUES[rng.random_range(0..VALUES.len())]).collect();
@@ -687,34 +674,38 @@ mod tests {
                     }
                 }
                 nan_reports += usize::from(keys.iter().any(|k| k.is_nan()));
-                // With a NaN the comparator is not a total order, and the
-                // standard sort may panic on it; the ranking must then
-                // panic exactly when the reference does.
-                let got = catch_unwind(AssertUnwindSafe(|| {
-                    ranking.update(&changes);
-                    ranking.order().to_vec()
-                }));
-                let want = catch_unwind(|| reference_order(&keys));
-                match (got, want) {
-                    (Ok(got), Ok(want)) => assert_eq!(got, want, "keys {keys:?}"),
-                    (Err(_), Err(_)) => {
-                        ord_panics += 1;
-                        for k in keys.iter_mut().filter(|k| k.is_nan()) {
-                            *k = 0.25;
-                        }
-                        ranking = Ranking::new(rows);
-                        let all: Vec<(usize, f64)> = keys.iter().copied().enumerate().collect();
-                        ranking.update(&all);
-                    }
-                    (got, want) => panic!(
-                        "ranking panicked: {}, reference panicked: {}",
-                        got.is_err(),
-                        want.is_err()
-                    ),
-                }
+                ranking.update(&changes);
+                assert_eq!(ranking.order(), reference_order(&keys), "keys {keys:?}");
             }
         }
-        assert!(nan_reports > ord_panics, "the script must exercise the NaN fallback");
+        assert!(nan_reports > 0, "the script must rank NaN rows");
+    }
+
+    #[test]
+    fn nan_rows_rank_last_where_a_partial_order_sort_panics() {
+        // Every fourth row NaN among tied values: with NaN comparing
+        // equal to everything, the standard sort detects the broken order
+        // on these keys and panics. Ranked by the total order, the NaN
+        // rows simply go last.
+        let keys: Vec<f64> = (0..32usize)
+            .map(|i| if i % 4 == 1 { f64::NAN } else { ((i * 7) % 11) as f64 / 8.0 })
+            .collect();
+        let mut ranking = Ranking::new(keys.len());
+        let all: Vec<(usize, f64)> = keys.iter().copied().enumerate().collect();
+        ranking.update(&all);
+        let order = ranking.order().to_vec();
+        assert_eq!(order, reference_order(&keys));
+        let nan_rows: Vec<u32> = (0..32).filter(|i| i % 4 == 1).collect();
+        assert_eq!(order[32 - nan_rows.len()..], nan_rows[..]);
+        // A NaN row that turns finite moves into place; a finite row
+        // that turns NaN joins the tail by index.
+        let mut keys = keys;
+        keys[1] = 2.0;
+        keys[0] = f64::NAN;
+        ranking.update(&[(1, 2.0), (0, f64::NAN)]);
+        assert_eq!(ranking.order(), reference_order(&keys));
+        assert_eq!(ranking.order()[0], 1);
+        assert_eq!(ranking.order()[32 - nan_rows.len()], 0);
     }
 
     #[test]

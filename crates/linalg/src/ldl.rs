@@ -281,6 +281,36 @@ impl LdlFactors {
         self.sym.fill_nnz()
     }
 
+    /// The fill-reducing permutation the factors live in (`perm[k]` =
+    /// original index eliminated at step `k`).
+    pub fn perm(&self) -> &[usize] {
+        &self.sym.perm
+    }
+
+    /// Column pointers of `L` (`n + 1` entries): column `j` holds
+    /// entries `col_ptr[j]..col_ptr[j + 1]` of [`LdlFactors::row_idx`] and
+    /// [`LdlFactors::lower`].
+    pub fn col_ptr(&self) -> &[usize] {
+        &self.sym.lp
+    }
+
+    /// Row index of every strictly-lower entry of `L`, ascending within
+    /// each column. Depends only on the analyzed pattern.
+    pub fn row_idx(&self) -> &[usize] {
+        &self.li
+    }
+
+    /// Values of the strictly-lower entries of `L` (unit diagonal
+    /// implied), in [`LdlFactors::row_idx`] order.
+    pub fn lower(&self) -> &[f64] {
+        &self.lx
+    }
+
+    /// The diagonal `D`, in elimination order.
+    pub fn diag(&self) -> &[f64] {
+        &self.d
+    }
+
     /// Re-runs the numeric factorization for new values of `a` on the
     /// analyzed pattern, reusing every buffer — the per-`dt` cost in the
     /// simulator's stepping-matrix cache. Allocation-free.

@@ -159,6 +159,26 @@ impl Csr {
         }
     }
 
+    /// Row pointers (`rows + 1` entries): row `r` holds entries
+    /// `row_ptr[r]..row_ptr[r + 1]` of [`Csr::col_idx`] and [`Csr::values`].
+    pub fn row_ptr(&self) -> &[usize] {
+        &self.row_ptr
+    }
+
+    /// Column index of every stored entry, ascending within each row.
+    pub fn col_idx(&self) -> &[usize] {
+        &self.col_idx
+    }
+
+    /// `true` when `other` stores exactly the same entries (shape, row
+    /// pointers and column indices), whatever the values.
+    pub fn same_pattern(&self, other: &Csr) -> bool {
+        self.rows == other.rows
+            && self.cols == other.cols
+            && self.row_ptr == other.row_ptr
+            && self.col_idx == other.col_idx
+    }
+
     /// Iterates over the stored entries of one row as `(col, value)` pairs.
     pub fn row(&self, row: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         let lo = self.row_ptr[row];

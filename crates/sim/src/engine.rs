@@ -1,4 +1,5 @@
 #![allow(clippy::needless_range_loop)] // index loops mirror the matrix math
+use crate::kernel::{march, Lane, LaneState, LaneValues, StepPlan, BATCH_LANES};
 use crate::{SimError, Waveform};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -338,7 +339,10 @@ struct StepKey {
 /// stepping factorization plus the sparse stepping matrix are reused
 /// whenever consecutive runs share a simulator, step and scheme (e.g.
 /// the horizon-retry loop of a sweep evaluation, or repeated runs with
-/// different stimuli on one network).
+/// different stimuli on one network). On the sparse backend the symbolic
+/// factorization and the stepping kernel's permuted pattern survive any
+/// change of simulator whose G∪C union pattern is the same (identical
+/// islands of a bus), so only values are rewritten.
 ///
 /// A workspace never changes *what* is computed — only how much is
 /// reallocated and re-factorized — so results are bit-identical with and
@@ -347,22 +351,26 @@ struct StepKey {
 #[derive(Debug, Default)]
 pub struct SimWorkspace {
     key: Option<StepKey>,
-    /// Which simulator's sparse structures (`lhs`/`step` patterns and the
-    /// symbolic part of a sparse `solver`) the workspace currently holds.
-    /// Unlike `key`, this survives a `dt`/method change on the *same*
-    /// simulator — exactly the horizon-retry case, where the stepping
-    /// values are rewritten in place and only the numeric factorization
-    /// reruns.
-    owner: Option<u64>,
     /// Factorization of the stepping LHS for `key` (dense LU or sparse
     /// LDLᵀ, per the simulator's backend).
     solver: Option<Solver>,
     /// Sparse-backend stepping LHS `(C + coeff·G)/dt` on the G∪C union
     /// pattern; values are rewritten in place per `dt`. Unused densely.
+    /// Its pattern says which union pattern `plan` and the symbolic half
+    /// of `solver` belong to.
     lhs: Option<Csr>,
-    /// Sparse stepping matrix: trapezoidal `(C/dt − G/2)`, or `C/dt` for
-    /// backward Euler (the per-step matvec operand in either scheme).
+    /// Dense-backend stepping matrix: trapezoidal `(C/dt − G/2)`, or
+    /// `C/dt` for backward Euler (the per-step matvec operand).
     step: Option<Csr>,
+    /// Sparse-backend permuted stepping pattern (see [`crate::kernel`]).
+    plan: Option<StepPlan>,
+    /// Sparse-backend kernel values for `key`, one lane.
+    vals: LaneValues<1>,
+    /// One-lane kernel state.
+    state: LaneState<1>,
+    /// Kernel values and state of a lockstep batch.
+    batch_vals: LaneValues<BATCH_LANES>,
+    batch_state: LaneState<BATCH_LANES>,
     b_now: Vec<f64>,
     b_next: Vec<f64>,
     rhs: Vec<f64>,
@@ -699,7 +707,7 @@ impl<'a> TransientSim<'a> {
                     // loops.
                     ws.step = Some(Csr::from_dense(&step));
                     ws.lhs = None;
-                    ws.owner = None;
+                    ws.plan = None;
                 }
                 Backend::Sparse {
                     symbolic,
@@ -714,20 +722,21 @@ impl<'a> TransientSim<'a> {
                         IntegrationMethod::Trapezoidal => (0.5 * dt, -0.5 * dt),
                         IntegrationMethod::BackwardEuler => (dt, 0.0),
                     };
-                    // Reuse the pattern clones and the symbolic half of the
-                    // factorization whenever the workspace last served this
-                    // simulator (the horizon-retry / dt-change case): only
-                    // values are rewritten and the numeric factor reruns.
-                    let reusable = ws.owner == Some(self.id)
+                    // Reuse the pattern clone, the kernel plan and the
+                    // symbolic half of the factorization whenever the
+                    // workspace last served this union pattern (a horizon
+                    // retry, a dt change, or the next identical island):
+                    // only values are rewritten and the numeric factor
+                    // reruns.
+                    let reusable = ws.plan.is_some()
                         && matches!(ws.solver, Some(Solver::Sparse(_)))
-                        && ws.lhs.is_some()
-                        && ws.step.is_some();
+                        && ws.lhs.as_ref().is_some_and(|l| l.same_pattern(pattern));
                     if !reusable {
-                        ws.owner = None;
                         ws.lhs = Some(pattern.clone());
-                        ws.step = Some(pattern.clone());
                         ws.solver = None;
+                        ws.plan = None;
                     }
+                    ws.step = None;
                     let inv_dt = 1.0 / dt;
                     let lhs = ws.lhs.as_mut().expect("set above");
                     for ((dst, gv), cv) in
@@ -735,17 +744,16 @@ impl<'a> TransientSim<'a> {
                     {
                         *dst = (cv + lhs_coeff * gv) * inv_dt;
                     }
-                    let step = ws.step.as_mut().expect("set above");
-                    for ((dst, gv), cv) in
-                        step.values_mut().iter_mut().zip(g_vals).zip(c_vals)
-                    {
-                        *dst = (cv + step_coeff * gv) * inv_dt;
-                    }
                     match ws.solver.as_mut() {
                         Some(Solver::Sparse(f)) => f.refactor(lhs)?,
                         _ => ws.solver = Some(Solver::Sparse(Box::new(symbolic.factor(lhs)?))),
                     }
-                    ws.owner = Some(self.id);
+                    if let Some(Solver::Sparse(factors)) = &ws.solver {
+                        let plan = ws.plan.get_or_insert_with(|| StepPlan::new(pattern, factors));
+                        ws.vals.reset(plan);
+                        ws.vals
+                            .load_lane(0, plan, (g_vals, c_vals), step_coeff, inv_dt, factors);
+                    }
                 }
             }
             ws.key = Some(key);
@@ -780,6 +788,31 @@ impl<'a> TransientSim<'a> {
         Ok(())
     }
 
+    /// Checks everything [`TransientSim::run_with`] checks before it
+    /// marches, in the same order: stimulus roles, options, duplicates.
+    pub(crate) fn check_run(
+        &self,
+        stimuli: &[(NetId, InputSignal)],
+        options: &SimOptions,
+    ) -> Result<(), SimError> {
+        for (net, _) in stimuli {
+            if self.network.net(*net).role() != NetRole::Aggressor {
+                return Err(SimError::StimulusOnNonAggressor(*net));
+            }
+        }
+        options.validate()?;
+        Self::check_duplicates(stimuli)
+    }
+
+    /// The G∪C union pattern on the sparse backend (`None` densely) —
+    /// the key batched marches group simulators by.
+    pub(crate) fn union_pattern(&self) -> Option<&Csr> {
+        match &self.backend {
+            Backend::Sparse { pattern, .. } => Some(pattern),
+            Backend::Dense { .. } => None,
+        }
+    }
+
     /// Resolves stimuli to `(driver node, 1/Rd, signal)` source entries.
     fn resolve_sources(&self, stimuli: &[(NetId, InputSignal)]) -> Vec<(usize, f64, InputSignal)> {
         stimuli
@@ -789,6 +822,15 @@ impl<'a> TransientSim<'a> {
                 (d.node.index(), 1.0 / d.ohms, *sig)
             })
             .collect()
+    }
+
+    /// The input vector `B·u(t)` in original node order: zero, then
+    /// `(1/Rd)·u(t)` accumulated at each driver node in stimulus order.
+    fn fill_inputs(sources: &[(usize, f64, InputSignal)], t: f64, out: &mut [f64]) {
+        out.fill(0.0);
+        for (node, cond, sig) in sources {
+            out[*node] += cond * sig.value(t);
+        }
     }
 
     /// Resolves the probe set (victim output when unspecified).
@@ -805,6 +847,9 @@ impl<'a> TransientSim<'a> {
     /// historical run from a DC initial condition at `t = 0`; with
     /// `resume = Some((t0, v0))` integration starts from state `v0` at `t0`
     /// and samples cover `t0 ..= t_stop` (the first sample repeats `v0`).
+    /// The sparse backend marches through the permuted-space kernel with
+    /// one lane ([`crate::kernel`]); the dense backend keeps its CSR matvec
+    /// plus LU solve.
     pub(crate) fn run_span_with(
         &self,
         stimuli: &[(NetId, InputSignal)],
@@ -827,21 +872,13 @@ impl<'a> TransientSim<'a> {
         // Source conductance vector entries: input u_j enters as
         // (1/Rd_j)·u_j at the driver node.
         let sources = self.resolve_sources(stimuli);
-        let rhs_inputs = |t: f64, out: &mut [f64]| {
-            out.fill(0.0);
-            for (node, cond, sig) in &sources {
-                out[*node] += cond * sig.value(t);
-            }
-        };
 
         self.prepare(options, workspace)?;
         let ws = workspace;
-        let solver = ws.solver.as_ref().expect("prepared above");
-        let step = ws.step.as_ref().expect("prepared above");
 
         // Initial condition: the resumed state, or the DC solution at
         // t = 0 (G factored once at construction).
-        rhs_inputs(t0, &mut ws.b_now);
+        Self::fill_inputs(&sources, t0, &mut ws.b_now);
         match resume {
             Some((_, v0)) => {
                 if v0.len() != ws.v.len() {
@@ -858,19 +895,34 @@ impl<'a> TransientSim<'a> {
             None => self.dc.solve_into(&ws.b_now, &mut ws.v, &mut ws.scratch)?,
         }
 
-        // Probe bookkeeping: resolve the probe set and reserve every
-        // trace to its final length up front, before the stepping loop.
         let probe_nodes = self.resolve_probes(options);
+        let trapezoidal = options.method == IntegrationMethod::Trapezoidal;
+        if let Some(plan) = &ws.plan {
+            // Sparse backend: the permuted-space kernel, one lane.
+            ws.state.reset(plan.n());
+            plan.load_state(0, &ws.v, &mut ws.state.v);
+            let mut lane = [Lane::new(plan, 0, (t0, dt, steps), &sources, &probe_nodes, &ws.v)];
+            let final_v = &mut ws.v;
+            march(plan, &ws.vals, &mut ws.state, &mut lane, trapezoidal, |_, slot, v| {
+                plan.store_state(slot, v, final_v)
+            });
+            let [lane] = lane;
+            return Ok(Self::collect(probe_nodes, lane.traces, t0, dt));
+        }
+
+        // Probe bookkeeping: reserve every trace to its final length up
+        // front, before the stepping loop.
         let mut traces: Vec<Vec<f64>> = Vec::with_capacity(probe_nodes.len());
         for node in &probe_nodes {
             let mut t = Vec::with_capacity(steps + 1);
             t.push(ws.v[node.index()]);
             traces.push(t);
         }
-
+        let solver = ws.solver.as_ref().expect("prepared above");
+        let step = ws.step.as_ref().expect("prepared above");
         for k in 0..steps {
             let t1 = t0 + (k + 1) as f64 * dt;
-            rhs_inputs(t1, &mut ws.b_next);
+            Self::fill_inputs(&sources, t1, &mut ws.b_next);
             // rhs = step·v (+ input terms); `step` already carries the
             // 1/dt scaling in either scheme.
             step.mul_vec_into(&ws.v, &mut ws.rhs)?;
@@ -894,12 +946,18 @@ impl<'a> TransientSim<'a> {
             }
         }
 
+        Ok(Self::collect(probe_nodes, traces, t0, dt))
+    }
+
+    /// Pairs probe nodes with their recorded traces on the `t0 + k·dt`
+    /// grid.
+    fn collect(probe_nodes: Vec<NodeId>, traces: Vec<Vec<f64>>, t0: f64, dt: f64) -> SimResult {
         let probes = probe_nodes
             .into_iter()
             .zip(traces)
             .map(|(node, samples)| (node, Waveform::new(t0, dt, samples)))
             .collect();
-        Ok(SimResult { probes })
+        SimResult { probes }
     }
 
     /// Builds the trapezoidal + backward-Euler stepping systems for one
@@ -996,12 +1054,7 @@ impl<'a> TransientSim<'a> {
         let n_base = (options.t_stop / dt).ceil() as usize;
 
         let sources = self.resolve_sources(stimuli);
-        let rhs_inputs = |t: f64, out: &mut [f64]| {
-            out.fill(0.0);
-            for (node, cond, sig) in &sources {
-                out[*node] += cond * sig.value(t);
-            }
-        };
+        let rhs_inputs = |t: f64, out: &mut [f64]| Self::fill_inputs(&sources, t, out);
         // Inputs stop slewing (ramps saturate, exponentials go smooth)
         // after the last arrival + transition; until then the step is
         // pinned to the base grid so no kink is ever stepped over.
@@ -1131,6 +1184,100 @@ impl<'a> TransientSim<'a> {
             .collect();
         Ok(SimResult { probes })
     }
+}
+
+/// One lane of a lockstep batch: a sparse simulator with its stimuli and
+/// fixed-step options (already passed [`TransientSim::check_run`]).
+pub(crate) struct LaneJob<'s, 'a> {
+    pub(crate) sim: &'s TransientSim<'a>,
+    pub(crate) stimuli: &'s [(NetId, InputSignal)],
+    pub(crate) options: &'s SimOptions,
+}
+
+/// A lane's march from DC: its probe waveforms and the node voltages
+/// (original order) after its last step — the resume state a horizon
+/// extension needs.
+pub(crate) type LaneRun = (SimResult, Vec<f64>);
+
+/// Marches up to [`BATCH_LANES`] sparse simulators sharing one G∪C union
+/// pattern in lockstep from their DC states, each for its own `dt` and
+/// step count. Lane `i` of the result is bit-identical to
+/// `jobs[i].sim.run_full_with(..)` followed by
+/// [`SimWorkspace::final_state`]; a lane whose factorization fails
+/// reports the error that run would have.
+///
+/// # Panics
+///
+/// When given more than [`BATCH_LANES`] jobs, a dense simulator,
+/// differing union patterns or differing integration methods.
+pub(crate) fn run_lanes(
+    jobs: &[LaneJob<'_, '_>],
+    ws: &mut SimWorkspace,
+) -> Vec<Result<LaneRun, SimError>> {
+    assert!(jobs.len() <= BATCH_LANES, "at most {BATCH_LANES} lanes per march");
+    let Some(first) = jobs.first() else {
+        return Vec::new();
+    };
+    let pattern = first.sim.union_pattern().expect("lanes run on the sparse backend");
+    let method = first.options.method;
+    let mut results: Vec<Option<Result<LaneRun, SimError>>> = jobs.iter().map(|_| None).collect();
+    let mut lanes = Vec::with_capacity(jobs.len());
+    let mut lane_probes = Vec::with_capacity(jobs.len());
+    let mut sized = false;
+    for (slot, job) in jobs.iter().enumerate() {
+        let sim = job.sim;
+        assert!(
+            sim.union_pattern().is_some_and(|p| p.same_pattern(pattern)),
+            "lanes share one union pattern"
+        );
+        assert_eq!(job.options.method, method, "lanes share one integration method");
+        if let Err(e) = sim.prepare(job.options, ws) {
+            results[slot] = Some(Err(e));
+            continue;
+        }
+        let plan = ws.plan.as_ref().expect("sparse prepare builds the plan");
+        if !sized {
+            ws.batch_vals.reset(plan);
+            ws.batch_state.reset(plan.n());
+            sized = true;
+        }
+        ws.batch_vals.copy_lane(slot, &ws.vals);
+        // DC initial condition at t = 0, exactly as a one-lane run.
+        let sources = sim.resolve_sources(job.stimuli);
+        TransientSim::fill_inputs(&sources, 0.0, &mut ws.b_now);
+        if let Err(e) = sim.dc.solve_into(&ws.b_now, &mut ws.v, &mut ws.scratch) {
+            results[slot] = Some(Err(e.into()));
+            continue;
+        }
+        plan.load_state(slot, &ws.v, &mut ws.batch_state.v);
+        let dt = job.options.dt;
+        let steps = (job.options.t_stop / dt).ceil() as usize;
+        let probe_nodes = sim.resolve_probes(job.options);
+        lanes.push(Lane::new(plan, slot, (0.0, dt, steps), &sources, &probe_nodes, &ws.v));
+        lane_probes.push(probe_nodes);
+    }
+    if let Some(plan) = &ws.plan {
+        if !lanes.is_empty() {
+            let mut finals = vec![vec![0.0; plan.n()]; lanes.len()];
+            let trapezoidal = method == IntegrationMethod::Trapezoidal;
+            march(
+                plan,
+                &ws.batch_vals,
+                &mut ws.batch_state,
+                &mut lanes,
+                trapezoidal,
+                |i, slot, v| plan.store_state(slot, v, &mut finals[i]),
+            );
+            for ((lane, probe_nodes), state) in lanes.into_iter().zip(lane_probes).zip(finals) {
+                let result = TransientSim::collect(probe_nodes, lane.traces, 0.0, lane.dt);
+                results[lane.slot] = Some(Ok((result, state)));
+            }
+        }
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("every lane either failed or marched"))
+        .collect()
 }
 
 /// Prepared stepping systems (trapezoidal + embedded backward Euler) for

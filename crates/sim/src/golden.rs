@@ -11,9 +11,10 @@
 //! until the tail fits. This module packages that loop so the retry
 //! policy cannot drift between callers.
 
+use crate::engine::{run_lanes, LaneJob};
 use crate::{
     analytic, fast_tier, measure_noise, sim_mode, FastTier, NoiseWaveformParams, SimError, SimMode,
-    SimOptions, SimWorkspace, TransientSim, Waveform,
+    SimOptions, SimResult, SimWorkspace, TransientSim, Waveform, BATCH_LANES,
 };
 use xtalk_circuit::{signal::InputSignal, NetId, Network, NodeId};
 
@@ -165,54 +166,233 @@ pub fn golden_noise_tiered(
     workspace: &mut SimWorkspace,
     gopts: &GoldenOpts,
 ) -> Result<(NoiseWaveformParams, GoldenTier), SimError> {
-    let polarity = match stimuli.first() {
-        Some((_, input)) => input.noise_polarity(),
-        None => {
-            return Err(SimError::BadOptions {
-                detail: "golden measurement needs at least one stimulus".into(),
-            })
-        }
-    };
+    let polarity = polarity_of(stimuli)?;
     let _span = xtalk_obs::span!("sim.golden");
     xtalk_obs::counter!("sim.golden.runs").add(1);
+    if let Some(params) = fast_tier_hit(network, stimuli, node, gopts.tier) {
+        return Ok((params, GoldenTier::Analytic));
+    }
+    let sim = TransientSim::new(network)?;
+    let job = GoldenJob {
+        network,
+        stimuli,
+        node,
+    };
+    transient(&sim, &job, polarity, gopts.mode, workspace).map(|p| (p, GoldenTier::Transient))
+}
 
-    if gopts.tier != FastTier::Off {
-        match analytic::analytic_noise(network, stimuli, node, gopts.tier) {
-            Ok(params) => {
-                xtalk_obs::counter!(perf: "sim.fast_tier.hits").add(1);
-                return Ok((params, GoldenTier::Analytic));
+/// A golden measurement and the tier that produced it, or why none could
+/// be made.
+pub type Golden = Result<(NoiseWaveformParams, GoldenTier), SimError>;
+
+/// One golden measurement request for [`golden_noise_batch`]: the
+/// arguments [`golden_noise_tiered`] takes per call.
+#[derive(Debug, Clone, Copy)]
+pub struct GoldenJob<'a> {
+    /// The network to simulate.
+    pub network: &'a Network,
+    /// Aggressor stimuli (see [`golden_noise_with`] for the polarity
+    /// convention).
+    pub stimuli: &'a [(NetId, InputSignal)],
+    /// The node to measure.
+    pub node: NodeId,
+}
+
+/// [`golden_noise_tiered`] for many jobs at once: returns exactly what
+/// `golden_noise_tiered` returns for each job, in job order, under every
+/// [`GoldenOpts`] — and records the same `sim.golden.*` counters.
+///
+/// Jobs whose fixed-step march runs on the sparse backend are grouped by
+/// the symbolic structure of their systems (the G∪C union pattern, hence
+/// one ordering, `L` pattern and stepping pattern), and each group's
+/// first segments march [`BATCH_LANES`] at a time in lockstep through the
+/// permuted-space stepping kernel. Lanes may differ in values, `dt`,
+/// step count, stimuli and probe node; each lane does exactly the
+/// floating-point work its own march would. Everything else takes the
+/// per-job path: an analytic-tier hit, the adaptive mode, a dense
+/// system, a group of one, and the horizon extensions of a lane whose
+/// pulse is truncated.
+///
+/// Every job's simulator is alive until its group has marched, so
+/// callers bound memory by the number of jobs they pass at once.
+pub fn golden_noise_batch(
+    jobs: &[GoldenJob<'_>],
+    workspace: &mut SimWorkspace,
+    gopts: &GoldenOpts,
+) -> Vec<Golden> {
+    let mut out: Vec<Option<Golden>> = jobs.iter().map(|_| None).collect();
+    // Fixed-step sparse jobs waiting for a lane, grouped by union pattern.
+    let mut pending: Vec<Pending<'_>> = Vec::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, job) in jobs.iter().enumerate() {
+        let polarity = match polarity_of(job.stimuli) {
+            Ok(p) => p,
+            Err(e) => {
+                out[i] = Some(Err(e));
+                continue;
             }
-            Err(reason) => {
-                xtalk_obs::counter!(perf: "sim.fast_tier.fallback").add(1);
-                reason.record();
+        };
+        xtalk_obs::counter!("sim.golden.runs").add(1);
+        if let Some(params) = fast_tier_hit(job.network, job.stimuli, job.node, gopts.tier) {
+            out[i] = Some(Ok((params, GoldenTier::Analytic)));
+            continue;
+        }
+        let sim = match TransientSim::new(job.network) {
+            Ok(sim) => sim,
+            Err(e) => {
+                out[i] = Some(Err(e));
+                continue;
+            }
+        };
+        let options = SimOptions::auto(job.network, job.stimuli);
+        if gopts.mode == SimMode::Adaptive || !sim.uses_sparse_solver() {
+            let _span = xtalk_obs::span!("sim.golden");
+            out[i] = Some(
+                transient(&sim, job, polarity, gopts.mode, workspace)
+                    .map(|p| (p, GoldenTier::Transient)),
+            );
+            continue;
+        }
+        if let Err(e) = sim.check_run(job.stimuli, &options) {
+            out[i] = Some(Err(e));
+            continue;
+        }
+        let pattern = sim.union_pattern().expect("sparse simulator");
+        let group = groups.iter().position(|g| {
+            pending[g[0]]
+                .sim
+                .union_pattern()
+                .is_some_and(|p| p.same_pattern(pattern))
+        });
+        match group {
+            Some(g) => groups[g].push(pending.len()),
+            None => groups.push(vec![pending.len()]),
+        }
+        pending.push(Pending {
+            job: i,
+            sim,
+            options,
+            polarity,
+        });
+    }
+
+    for group in &groups {
+        for chunk in group.chunks(BATCH_LANES) {
+            let _span = xtalk_obs::span!("sim.golden.batch");
+            xtalk_obs::histogram!(perf: "sim.golden.lanes").record(chunk.len() as u64);
+            let lanes: Vec<LaneJob<'_, '_>> = chunk
+                .iter()
+                .map(|&p| LaneJob {
+                    sim: &pending[p].sim,
+                    stimuli: jobs[pending[p].job].stimuli,
+                    options: &pending[p].options,
+                })
+                .collect();
+            let runs = if let [lane] = lanes.as_slice() {
+                // A group of one marches alone, through the same kernel.
+                vec![lane
+                    .sim
+                    .run_with(lane.stimuli, lane.options, workspace)
+                    .map(|res| (res, workspace.final_state().to_vec()))]
+            } else {
+                run_lanes(&lanes, workspace)
+            };
+            for (&p, run) in chunk.iter().zip(runs) {
+                let Pending {
+                    job: i,
+                    sim,
+                    options,
+                    polarity,
+                } = &pending[p];
+                out[*i] = Some(run.and_then(|(res, state)| {
+                    finish_fixed(sim, &jobs[*i], *polarity, options.clone(), &res, Some(state), workspace)
+                        .map(|p| (p, GoldenTier::Transient))
+                }));
             }
         }
     }
+    out.into_iter()
+        .map(|r| r.expect("every job resolved"))
+        .collect()
+}
 
-    let sim = TransientSim::new(network)?;
-    let mut opts = SimOptions::auto(network, stimuli);
-    // Det-class workload record on success: the final horizon in units of
-    // the initial auto step — identical across stepping modes and resume
-    // strategies by construction.
-    let dt0 = opts.dt;
-    let record_steps = |t_stop: f64| {
-        xtalk_obs::histogram!("sim.golden.steps").record((t_stop / dt0).max(0.0) as u64);
-    };
-    let probe_err = || SimError::BadOptions {
+/// A sparse fixed-step job waiting for its lane.
+struct Pending<'a> {
+    job: usize,
+    sim: TransientSim<'a>,
+    options: SimOptions,
+    polarity: f64,
+}
+
+/// The measured polarity of a stimulus list (its first stimulus').
+fn polarity_of(stimuli: &[(NetId, InputSignal)]) -> Result<f64, SimError> {
+    match stimuli.first() {
+        Some((_, input)) => Ok(input.noise_polarity()),
+        None => Err(SimError::BadOptions {
+            detail: "golden measurement needs at least one stimulus".into(),
+        }),
+    }
+}
+
+/// The analytic fast tier, when `tier` allows it and the fit is trusted;
+/// a fallback is counted per reason.
+fn fast_tier_hit(
+    network: &Network,
+    stimuli: &[(NetId, InputSignal)],
+    node: NodeId,
+    tier: FastTier,
+) -> Option<NoiseWaveformParams> {
+    if tier == FastTier::Off {
+        return None;
+    }
+    match analytic::analytic_noise(network, stimuli, node, tier) {
+        Ok(params) => {
+            xtalk_obs::counter!(perf: "sim.fast_tier.hits").add(1);
+            Some(params)
+        }
+        Err(reason) => {
+            xtalk_obs::counter!(perf: "sim.fast_tier.fallback").add(1);
+            reason.record();
+            None
+        }
+    }
+}
+
+/// Det-class workload record on success: the final horizon in units of
+/// the initial auto step — identical across stepping modes and resume
+/// strategies by construction.
+fn record_steps(t_stop: f64, dt0: f64) {
+    xtalk_obs::histogram!("sim.golden.steps").record((t_stop / dt0).max(0.0) as u64);
+}
+
+fn probe_err(node: NodeId) -> SimError {
+    SimError::BadOptions {
         detail: format!("probe node {node:?} is not part of the simulated network"),
-    };
+    }
+}
 
-    if gopts.mode == SimMode::Adaptive {
+/// The transient tier of one job, stepping fixed or adaptive per `mode`.
+fn transient(
+    sim: &TransientSim<'_>,
+    job: &GoldenJob<'_>,
+    polarity: f64,
+    mode: SimMode,
+    workspace: &mut SimWorkspace,
+) -> Result<NoiseWaveformParams, SimError> {
+    let (stimuli, node) = (job.stimuli, job.node);
+    let mut opts = SimOptions::auto(job.network, stimuli);
+    if mode == SimMode::Adaptive {
         // Adaptive tail steps are cheap, so truncation retries just
         // re-run with the grown horizon (and step, keeping the base-grid
         // point count constant).
+        let dt0 = opts.dt;
         loop {
             let res = sim.run_adaptive_with(stimuli, &opts, workspace)?;
-            let waveform = res.probe(node).ok_or_else(probe_err)?;
+            let waveform = res.probe(node).ok_or_else(|| probe_err(node))?;
             match measure_noise(waveform, polarity) {
                 Ok(params) => {
-                    record_steps(opts.t_stop);
-                    return Ok((params, GoldenTier::Transient));
+                    record_steps(opts.t_stop, dt0);
+                    return Ok(params);
                 }
                 Err(SimError::Truncated) if opts.t_stop < MAX_HORIZON => {
                     xtalk_obs::counter!("sim.golden.horizon_retries").add(1);
@@ -223,16 +403,33 @@ pub fn golden_noise_tiered(
             }
         }
     }
-
     // Fixed-step march. The first segment integrates from DC; a
-    // truncated pulse is *resumed* from the segment's final state over a
-    // coarser extension instead of re-paying the covered horizon.
+    // truncated pulse is *resumed* from the segment's final state.
     let res = sim.run_with(stimuli, &opts, workspace)?;
-    let waveform = res.probe(node).ok_or_else(probe_err)?;
+    finish_fixed(sim, job, polarity, opts, &res, None, workspace)
+}
+
+/// Measures a first fixed-step segment `first` (run with `opts` from DC)
+/// and, while the pulse is truncated, resumes the march from the
+/// segment's final state over a 4× coarser extension instead of
+/// re-paying the covered horizon. `state` is that final state, or `None`
+/// when `workspace` still holds it (the segment marched through it).
+fn finish_fixed(
+    sim: &TransientSim<'_>,
+    job: &GoldenJob<'_>,
+    polarity: f64,
+    mut opts: SimOptions,
+    first: &SimResult,
+    state: Option<Vec<f64>>,
+    workspace: &mut SimWorkspace,
+) -> Result<NoiseWaveformParams, SimError> {
+    let (stimuli, node) = (job.stimuli, job.node);
+    let dt0 = opts.dt;
+    let waveform = first.probe(node).ok_or_else(|| probe_err(node))?;
     match measure_noise(waveform, polarity) {
         Ok(params) => {
-            record_steps(opts.t_stop);
-            return Ok((params, GoldenTier::Transient));
+            record_steps(opts.t_stop, dt0);
+            return Ok(params);
         }
         Err(SimError::Truncated) if opts.t_stop < MAX_HORIZON => {}
         Err(e) => return Err(e),
@@ -242,7 +439,7 @@ pub fn golden_noise_tiered(
     // voltages at its end.
     let mut samples: Vec<f64> = waveform.samples().to_vec();
     let mut cur_dt = opts.dt;
-    let mut state: Vec<f64> = workspace.final_state().to_vec();
+    let mut state: Vec<f64> = state.unwrap_or_else(|| workspace.final_state().to_vec());
     let ratio = HORIZON_GROWTH as usize;
     loop {
         xtalk_obs::counter!("sim.golden.horizon_retries").add(1);
@@ -256,7 +453,7 @@ pub fn golden_noise_tiered(
                 ..opts.clone()
             };
             let res = sim.run_with(stimuli, &full, workspace)?;
-            samples = res.probe(node).ok_or_else(probe_err)?.samples().to_vec();
+            samples = res.probe(node).ok_or_else(|| probe_err(node))?.samples().to_vec();
         } else {
             xtalk_obs::counter!("sim.golden.retry_resumes").add(1);
             // Extend from the exact end of the stitched grid with a 4×
@@ -270,7 +467,7 @@ pub fn golden_noise_tiered(
                 ..opts.clone()
             };
             let res = sim.run_span_with(stimuli, &ext, workspace, Some((t_end, &state)))?;
-            let ext_wf = res.probe(node).ok_or_else(probe_err)?;
+            let ext_wf = res.probe(node).ok_or_else(|| probe_err(node))?;
             for pair in ext_wf.samples().windows(2) {
                 let (v0, v1) = (pair[0], pair[1]);
                 for j in 1..=ratio {
@@ -285,8 +482,8 @@ pub fn golden_noise_tiered(
         let wave = Waveform::new(0.0, cur_dt, samples.clone());
         match measure_noise(&wave, polarity) {
             Ok(params) => {
-                record_steps(opts.t_stop);
-                return Ok((params, GoldenTier::Transient));
+                record_steps(opts.t_stop, dt0);
+                return Ok(params);
             }
             Err(SimError::Truncated) if opts.t_stop < MAX_HORIZON => {}
             Err(e) => return Err(e),

@@ -56,6 +56,7 @@ pub mod analytic;
 mod engine;
 mod error;
 pub mod golden;
+mod kernel;
 pub mod measure;
 mod waveform;
 
@@ -66,6 +67,10 @@ pub use engine::{
     TransientSim,
 };
 pub use error::SimError;
-pub use golden::{golden_noise, golden_noise_tiered, golden_noise_with, GoldenOpts, GoldenTier};
+pub use golden::{
+    golden_noise, golden_noise_batch, golden_noise_tiered, golden_noise_with, GoldenJob, GoldenOpts,
+    GoldenTier,
+};
+pub use kernel::BATCH_LANES;
 pub use measure::{measure_noise, NoiseWaveformParams};
 pub use waveform::Waveform;
