@@ -1,9 +1,9 @@
-//! Shared fixtures for the Criterion benchmarks.
+//! Shared fixtures for the benchmarks.
 //!
-//! Each bench target regenerates one of the paper's evaluation artifacts
-//! at a small, fixed case count (the `xtalk-eval` binaries produce the
-//! full-volume numbers; the benches time the pipelines and keep them
-//! exercised in CI).
+//! The benches time pipelines and write the `BENCH_*.json` artifacts; the
+//! paper's tables and Figure 5 themselves come from the `xtalk-eval`
+//! binaries (`table1`, `table2`, `table3`, `figure5`) and from
+//! `xtalk sweep --family all`.
 
 use xtalk_circuit::{signal::InputSignal, NetId, Network};
 use xtalk_tech::{CouplingDirection, Technology, TwoPinSpec};
@@ -27,10 +27,6 @@ pub fn reference_two_pin() -> (Network, NetId, InputSignal) {
     let (network, aggressor) = spec.build(&tech).expect("reference spec is valid");
     (network, aggressor, InputSignal::rising_ramp(0.0, 100e-12))
 }
-
-/// Case count for the table benches: large enough to exercise every code
-/// path (corners included), small enough for a benchable iteration.
-pub const BENCH_CASES: usize = 20;
 
 #[cfg(test)]
 mod tests {

@@ -3,12 +3,12 @@ use std::error::Error;
 use std::fmt::Write as _;
 use xtalk_circuit::{signal::InputSignal, NetId, Network, Severity};
 use xtalk_core::{
-    FallbackPolicy, MetricError, MetricKind, NoiseAnalyzer, NoiseEstimate, Provenance,
+    AggressorOutcome, FallbackPolicy, MetricError, MetricKind, NoiseEstimate, Provenance,
     RobustAnalyzer,
 };
 use xtalk_delay::{DelayAnalyzer, DelayMetric};
-use xtalk_exec::par_map;
-use xtalk_sim::{measure_noise, NoiseWaveformParams, SimOptions, TransientSim};
+use xtalk_exec::par_map_indexed_with;
+use xtalk_sim::{golden_noise_with, SimWorkspace};
 
 /// `info` sub-command: structure summary.
 pub fn info_report(network: &Network) -> String {
@@ -57,19 +57,6 @@ fn input_for(inv: &Invocation) -> InputSignal {
     }
 }
 
-fn analyze(
-    analyzer: &NoiseAnalyzer<'_>,
-    aggressor: NetId,
-    input: &InputSignal,
-    metric: MetricArg,
-) -> Result<NoiseEstimate, xtalk_core::MetricError> {
-    match metric {
-        MetricArg::One => analyzer.analyze(aggressor, input, MetricKind::One),
-        MetricArg::Two => analyzer.analyze(aggressor, input, MetricKind::Two),
-        MetricArg::Closed => analyzer.analyze_closed_form(aggressor, input, MetricKind::Two),
-    }
-}
-
 /// What one aggressor row resolved to after the analysis attempt.
 enum RowOutcome {
     /// An estimate, with fallback provenance when metric II ran through
@@ -95,12 +82,7 @@ enum RowOutcome {
 /// Propagates analysis/simulation failures; under `--strict`, also any
 /// condition that would otherwise merely degrade the run.
 pub fn noise_report(network: &Network, inv: &Invocation) -> Result<(String, bool), Box<dyn Error>> {
-    let policy = if inv.strict {
-        FallbackPolicy::strict()
-    } else {
-        FallbackPolicy::default()
-    };
-    let robust = RobustAnalyzer::with_policy(network, policy)?;
+    let robust = RobustAnalyzer::with_policy(network, FallbackPolicy::for_strict(inv.strict))?;
     let input = input_for(inv);
     let mut out = String::new();
     let mut degraded = false;
@@ -130,63 +112,72 @@ pub fn noise_report(network: &Network, inv: &Invocation) -> Result<(String, bool
         "aggressor", "Vp(Vdd)", "Tp (ps)", "Wn (ps)", "T1 (ps)", "flag"
     );
 
-    // Per-aggressor analysis is independent, so it fans out over the
-    // workers; rows are rendered serially in net order afterwards, which
-    // keeps the report byte-identical for every --jobs value. A strict
-    // failure or golden-sim error aborts with the lowest-index error, as
-    // the serial loop would.
-    let targets: Vec<(NetId, &str)> = network
+    let (aggressors, names): (Vec<NetId>, Vec<&str>) = network
         .aggressor_nets()
         .filter(|(_, net)| match &inv.aggressor {
             Some(wanted) => net.name() == wanted,
             None => true,
         })
         .map(|(agg, net)| (agg, net.name()))
-        .collect();
-    type Row = (RowOutcome, Option<NoiseWaveformParams>);
-    let rows: Vec<Result<Row, String>> = par_map(&targets, inv.jobs, |&(agg, _)| {
-        let outcome = match inv.metric {
-            // The default metric runs through the fallback chain.
-            MetricArg::Two => match robust.analyze(agg, &input) {
-                Ok(re) => RowOutcome::Estimate(re.estimate, Some(re.provenance)),
-                Err(e) if e.is_no_noise() => RowOutcome::NoCoupling,
-                Err(e) if inv.strict => return Err(e.to_string()),
-                Err(e) => RowOutcome::Failed(e.to_string()),
-            },
-            // Explicitly requested metrics run as asked, with no
-            // fallback — but a per-aggressor failure still only
-            // degrades the report unless --strict.
-            MetricArg::One | MetricArg::Closed => {
-                match analyze(robust.inner(), agg, &input, inv.metric) {
-                    Ok(est) => RowOutcome::Estimate(est, None),
-                    Err(MetricError::NoNoise) => RowOutcome::NoCoupling,
-                    Err(e) if inv.strict => return Err(e.to_string()),
-                    Err(e) => RowOutcome::Failed(e.to_string()),
+        .unzip();
+    let outcomes: Vec<Result<RowOutcome, String>> = match inv.metric {
+        // The default metric runs through the per-victim fallback path,
+        // which under --strict ends at the first failed row.
+        MetricArg::Two => robust
+            .analyze_all(&aggressors, &input)
+            .rows
+            .into_iter()
+            .map(|(_, outcome)| match outcome {
+                AggressorOutcome::Estimate(re) => {
+                    Ok(RowOutcome::Estimate(re.estimate, Some(re.provenance)))
                 }
-            }
-        };
-        let golden = match (&outcome, inv.golden) {
-            (RowOutcome::Estimate(..), true) => {
-                let sim = TransientSim::new(network).map_err(|e| e.to_string())?;
-                let stim = [(agg, input)];
-                let opts = SimOptions::auto(network, &stim);
-                let run = sim.run(&stim, &opts).map_err(|e| e.to_string())?;
-                Some(
-                    measure_noise(
-                        run.probe(network.victim_output()).expect("victim probed"),
-                        input.noise_polarity(),
-                    )
-                    .map_err(|e| e.to_string())?,
-                )
+                AggressorOutcome::NoCoupling => Ok(RowOutcome::NoCoupling),
+                AggressorOutcome::Failed(e) if inv.strict => Err(e.to_string()),
+                AggressorOutcome::Failed(e) => Ok(RowOutcome::Failed(e.to_string())),
+            })
+            .collect(),
+        // Explicitly requested metrics run as asked, with no fallback —
+        // but a per-aggressor failure still only degrades the report
+        // unless --strict.
+        MetricArg::One | MetricArg::Closed => aggressors
+            .iter()
+            .map(|&agg| {
+                let analyzer = robust.inner();
+                let analyzed = match inv.metric {
+                    MetricArg::Closed => analyzer.analyze_closed_form(agg, &input, MetricKind::Two),
+                    _ => analyzer.analyze(agg, &input, MetricKind::One),
+                };
+                match analyzed {
+                    Ok(est) => Ok(RowOutcome::Estimate(est, None)),
+                    Err(MetricError::NoNoise) => Ok(RowOutcome::NoCoupling),
+                    Err(e) if inv.strict => Err(e.to_string()),
+                    Err(e) => Ok(RowOutcome::Failed(e.to_string())),
+                }
+            })
+            .collect(),
+    };
+    // The golden cross-checks are independent, so they fan out over the
+    // workers; rows are rendered serially in net order afterwards, which
+    // keeps the report byte-identical for every --jobs value. A strict
+    // failure or golden error aborts with the lowest-index error.
+    let goldens = par_map_indexed_with(
+        &outcomes,
+        inv.jobs,
+        SimWorkspace::new,
+        |ws, i, outcome| match (outcome, inv.golden) {
+            (Ok(RowOutcome::Estimate(..)), true) => {
+                let stimuli = [(aggressors[i], input)];
+                let node = network.victim_output();
+                Some(golden_noise_with(network, &stimuli, node, ws))
             }
             _ => None,
-        };
-        Ok((outcome, golden))
-    })?;
+        },
+    )?;
 
     let mut any = false;
-    for ((_, name), row) in targets.iter().zip(rows) {
-        let (outcome, golden) = row.map_err(|e| -> Box<dyn Error> { e.into() })?;
+    for ((name, outcome), golden) in names.iter().zip(outcomes).zip(goldens) {
+        let outcome = outcome.map_err(|e| -> Box<dyn Error> { e.into() })?;
+        let golden = golden.transpose()?;
         match outcome {
             RowOutcome::Estimate(est, provenance) => {
                 any = true;

@@ -190,31 +190,6 @@ impl<'a> NoiseAnalyzer<'a> {
         }
     }
 
-    /// Estimates for every listed aggressor (one switching at a time —
-    /// combine with [`crate::superpose`] for the worst case).
-    ///
-    /// Aggressors with no coupling into the output are skipped rather than
-    /// reported as errors.
-    ///
-    /// # Errors
-    ///
-    /// Propagates non-`NoNoise` failures.
-    pub fn analyze_all(
-        &self,
-        inputs: &[(NetId, InputSignal)],
-        kind: MetricKind,
-    ) -> Result<Vec<(NetId, NoiseEstimate)>, MetricError> {
-        let mut out = Vec::with_capacity(inputs.len());
-        for (net, input) in inputs {
-            match self.analyze(*net, input, kind) {
-                Ok(est) => out.push((*net, est)),
-                Err(MetricError::NoNoise) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(out)
-    }
-
     /// Closed-form parameter bounds (eqs. 37–40) for one aggressor.
     ///
     /// # Errors
@@ -294,20 +269,6 @@ mod tests {
         let near = analyzer.analyze(aggs[0], &input, MetricKind::Two).unwrap();
         let far = analyzer.analyze(aggs[1], &input, MetricKind::Two).unwrap();
         assert!(near.vp > far.vp, "{} vs {}", near.vp, far.vp);
-    }
-
-    #[test]
-    fn analyze_all_returns_each_aggressor() {
-        let (net, aggs) = two_aggressor_network();
-        let analyzer = NoiseAnalyzer::new(&net).unwrap();
-        let input = InputSignal::rising_ramp(0.0, 1e-10);
-        let all = analyzer
-            .analyze_all(
-                &[(aggs[0], input), (aggs[1], input)],
-                MetricKind::Two,
-            )
-            .unwrap();
-        assert_eq!(all.len(), 2);
     }
 
     #[test]

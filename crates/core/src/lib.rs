@@ -80,6 +80,6 @@ pub use metric1::MetricOne;
 pub use metric2::{MetricTwo, LAMBDA};
 pub use output::{shape_ratio_m, OutputMoments};
 pub use resilience::{
-    FallbackPolicy, Provenance, RobustAnalyzer, RobustError, RobustEstimate, Rung, RungError,
-    RungFailure, SanityError,
+    AggressorOutcome, FallbackPolicy, Provenance, RobustAnalyzer, RobustError, RobustEstimate,
+    Rung, RungError, RungFailure, SanityError, VictimAnalysis,
 };

@@ -64,6 +64,7 @@
 //! ```
 
 use crate::baselines::lumped_pi;
+use crate::superpose::{worst_case, CombinedNoise, TimingWindow};
 use crate::{MetricError, MetricOne, MetricTwo, NoiseAnalyzer, NoiseBounds, NoiseEstimate, OutputMoments};
 use std::error::Error;
 use std::fmt;
@@ -241,6 +242,16 @@ impl FallbackPolicy {
             floor: Rung::MetricTwo,
         }
     }
+
+    /// [`FallbackPolicy::strict`] when `strict`, else the default — the
+    /// policy behind every front end's strict switch.
+    pub fn for_strict(strict: bool) -> Self {
+        if strict {
+            FallbackPolicy::strict()
+        } else {
+            FallbackPolicy::default()
+        }
+    }
 }
 
 /// Where an estimate came from: the rung that produced it, every rung
@@ -396,6 +407,68 @@ impl From<MetricError> for RobustError {
     }
 }
 
+/// What one aggressor of [`RobustAnalyzer::analyze_all`] resolved to.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AggressorOutcome {
+    /// A provenance-tagged estimate.
+    Estimate(RobustEstimate),
+    /// The aggressor induces no noise at the victim output — a legitimate
+    /// zero contribution, not a failure.
+    NoCoupling,
+    /// Every permitted rung failed (or a strict policy refused to
+    /// degrade).
+    Failed(RobustError),
+}
+
+/// One victim's analysis: a row per aggressor, in the order asked, plus
+/// the combined view over its estimates.
+#[derive(Debug, Clone, PartialEq)]
+pub struct VictimAnalysis {
+    /// `(aggressor, outcome)` rows.
+    pub rows: Vec<(NetId, AggressorOutcome)>,
+}
+
+impl VictimAnalysis {
+    /// The estimates, in row order.
+    pub fn estimates(&self) -> impl Iterator<Item = &RobustEstimate> {
+        self.rows.iter().filter_map(|(_, outcome)| match outcome {
+            AggressorOutcome::Estimate(e) => Some(e),
+            _ => None,
+        })
+    }
+
+    /// The first failed row: its index and why it failed.
+    pub fn first_failure(&self) -> Option<(usize, &RobustError)> {
+        self.rows
+            .iter()
+            .enumerate()
+            .find_map(|(i, (_, outcome))| match outcome {
+                AggressorOutcome::Failed(e) => Some((i, e)),
+                _ => None,
+            })
+    }
+
+    /// Worst-case superposition ([`worst_case`]) of every estimate with a
+    /// pinned timing window; `None` when no row has an estimate.
+    pub fn worst_case(&self) -> Option<CombinedNoise> {
+        let contributions: Vec<_> = self
+            .estimates()
+            .map(|e| (e.estimate, TimingWindow::pinned()))
+            .collect();
+        (!contributions.is_empty()).then(|| worst_case(&contributions))
+    }
+
+    /// The lowest-fidelity rung any estimate came from.
+    pub fn worst_rung(&self) -> Option<Rung> {
+        self.estimates().map(|e| e.provenance.rung()).max()
+    }
+
+    /// True when any estimate degraded or any row failed.
+    pub fn degraded(&self) -> bool {
+        self.first_failure().is_some() || self.estimates().any(|e| e.provenance.degraded())
+    }
+}
+
 /// [`NoiseAnalyzer`] wrapped in validation gating and the fallback chain.
 ///
 /// Construction runs [`Network::validate`] and rejects networks with
@@ -486,16 +559,28 @@ impl<'a> RobustAnalyzer<'a> {
         self.chain(moments, aggressor, input)
     }
 
-    /// Per-aggressor results for a batch — one entry per input, failures
-    /// collected instead of aborting the batch.
-    pub fn analyze_all(
-        &self,
-        inputs: &[(NetId, InputSignal)],
-    ) -> Vec<(NetId, Result<RobustEstimate, RobustError>)> {
-        inputs
-            .iter()
-            .map(|(net, input)| (*net, self.analyze(*net, input)))
-            .collect()
+    /// The per-victim analysis every front end shares: each aggressor in
+    /// `aggressors` switches alone with `input`, in order, and lands in
+    /// one row — an estimate, no coupling (the failure
+    /// [`RobustError::is_no_noise`]), or failed. Failures are collected
+    /// rather than aborting the victim, except under a strict policy,
+    /// where the first failed row ends the list: strict refuses the
+    /// victim as a whole, so later rows could not change the answer.
+    pub fn analyze_all(&self, aggressors: &[NetId], input: &InputSignal) -> VictimAnalysis {
+        let mut rows = Vec::with_capacity(aggressors.len());
+        for &aggressor in aggressors {
+            let outcome = match self.analyze(aggressor, input) {
+                Ok(estimate) => AggressorOutcome::Estimate(estimate),
+                Err(e) if e.is_no_noise() => AggressorOutcome::NoCoupling,
+                Err(e) => AggressorOutcome::Failed(e),
+            };
+            let stop = self.policy.strict && matches!(outcome, AggressorOutcome::Failed(_));
+            rows.push((aggressor, outcome));
+            if stop {
+                break;
+            }
+        }
+        VictimAnalysis { rows }
     }
 
     /// Walks the rung chain over precomputed output moments.
@@ -1064,13 +1149,19 @@ mod tests {
     fn analyze_all_collects_per_aggressor_results() {
         let (net, agg) = coupled_network();
         let analyzer = RobustAnalyzer::new(&net).unwrap();
-        let results = analyzer.analyze_all(&[
-            (agg, InputSignal::rising_ramp(0.0, 1e-10)),
-            (agg, InputSignal::step(0.0)),
-        ]);
-        assert_eq!(results.len(), 2);
-        assert!(!results[0].1.as_ref().unwrap().provenance.degraded());
-        assert!(results[1].1.as_ref().unwrap().provenance.degraded());
+        let provenance = |input: InputSignal| -> Vec<bool> {
+            let analysis = analyzer.analyze_all(&[agg, agg], &input);
+            assert_eq!(analysis.rows.len(), 2);
+            analysis
+                .estimates()
+                .map(|e| e.provenance.degraded())
+                .collect()
+        };
+        assert_eq!(
+            provenance(InputSignal::rising_ramp(0.0, 1e-10)),
+            [false, false]
+        );
+        assert_eq!(provenance(InputSignal::step(0.0)), [true, true]);
     }
 
     #[test]

@@ -54,8 +54,7 @@ use xtalk_circuit::signal::InputSignal;
 use xtalk_circuit::NetId;
 use xtalk_circuit::spice::stream::{DeckIndex, StreamOptions};
 use xtalk_circuit::spice::{DeckLimits, SpiceParseError};
-use xtalk_core::superpose::{worst_case, TimingWindow};
-use xtalk_core::{FallbackPolicy, RobustAnalyzer, Rung};
+use xtalk_core::{FallbackPolicy, RobustAnalyzer};
 use xtalk_exec::{par_map_indexed_with, par_map_stage_with, Jobs};
 use xtalk_obs::json::{comma, json_num, json_str};
 use xtalk_sim::{
@@ -408,11 +407,7 @@ fn screen_net(
             return NetOutcome { screen, stimuli };
         }
     };
-    let policy = if config.strict {
-        FallbackPolicy::strict()
-    } else {
-        FallbackPolicy::default()
-    };
+    let policy = FallbackPolicy::for_strict(config.strict);
     let robust = match RobustAnalyzer::with_policy(&network, policy) {
         Ok(r) => r,
         Err(e) => {
@@ -426,35 +421,26 @@ fn screen_net(
     // already part of the victim's moment model.
     let input = config.input();
     let victim = network.victim();
-    let mut contributions = Vec::new();
-    let mut worst_rung: Option<Rung> = None;
-    for (agg, _) in network.nets() {
-        if agg == victim || network.couplings_between(agg, victim).next().is_none() {
-            continue;
-        }
-        screen.aggressors += 1;
-        stimuli.push((agg, input));
-        match robust.analyze(agg, &input) {
-            Ok(re) => {
-                worst_rung = Some(worst_rung.map_or(re.provenance.rung(), |w| {
-                    w.max(re.provenance.rung())
-                }));
-                screen.degraded |= re.provenance.degraded();
-                contributions.push((re.estimate, TimingWindow::pinned()));
-            }
-            Err(e) if e.is_no_noise() => {}
-            Err(e) => {
-                screen.degraded = true;
-                screen.error = Some(e.to_string());
-                return NetOutcome { screen, stimuli };
-            }
-        }
+    let aggressors: Vec<NetId> = network
+        .nets()
+        .map(|(agg, _)| agg)
+        .filter(|&agg| agg != victim && network.couplings_between(agg, victim).next().is_some())
+        .collect();
+    let analysis = robust.analyze_all(&aggressors, &input);
+    if let Some((row, e)) = analysis.first_failure() {
+        // A failed aggressor fails the net; `aggressors` counts the rows
+        // up to and including it.
+        screen.aggressors = row + 1;
+        screen.degraded = true;
+        screen.error = Some(e.to_string());
+        return NetOutcome { screen, stimuli };
     }
-    if let Some(rung) = worst_rung {
+    screen.aggressors = aggressors.len();
+    screen.degraded = analysis.degraded();
+    if let Some(rung) = analysis.worst_rung() {
         screen.rung = rung.name();
     }
-    if !contributions.is_empty() {
-        let combined = worst_case(&contributions);
+    if let Some(combined) = analysis.worst_case() {
         screen.vp = combined.vp;
         screen.at = combined.at;
         screen.ratio = if config.threshold > 0.0 {
@@ -462,10 +448,10 @@ fn screen_net(
         } else {
             f64::INFINITY
         };
+        screen.escalated = screen.ratio >= config.escalate_ratio;
     }
-    screen.escalated = !contributions.is_empty() && screen.ratio >= config.escalate_ratio;
-    if !(screen.escalated && config.escalate) {
-        stimuli = Vec::new();
+    if screen.escalated && config.escalate {
+        stimuli = aggressors.iter().map(|&agg| (agg, input)).collect();
     }
     NetOutcome { screen, stimuli }
 }

@@ -59,11 +59,9 @@ mod engine;
 mod error;
 pub mod incr;
 mod pade;
-pub mod three_pole;
 pub mod tree;
 
 pub use engine::MomentEngine;
 pub use error::MomentError;
 pub use incr::{IncrStats, IncrTreeEngine};
 pub use pade::{PoleKind, TwoPoleFit};
-pub use three_pole::{CubicRoots, ThreePoleFit};

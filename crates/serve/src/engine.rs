@@ -24,12 +24,8 @@ use crate::json;
 use crate::proto::{self, AnalyzeRequest, RequestId, Shape};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
-use xtalk_circuit::{
-    signal::InputSignal, spice, NetId, Severity,
-};
-use xtalk_core::{
-    MetricError, Provenance, RobustAnalyzer, RobustError, RungError, RungFailure,
-};
+use xtalk_circuit::{signal::InputSignal, spice, NetId, Network, Severity};
+use xtalk_core::{AggressorOutcome, FallbackPolicy, RobustAnalyzer};
 use xtalk_sim::{
     analytic_noise, golden_noise_tiered, FastTier, GoldenOpts, GoldenTier, NoiseWaveformParams,
     SimWorkspace,
@@ -58,34 +54,6 @@ fn input_for(req: &AnalyzeRequest) -> InputSignal {
         Shape::Exp => InputSignal::rising_exp(req.arrival, req.slew),
         Shape::Step => InputSignal::step(req.arrival),
     }
-}
-
-/// True when the robust chain failed only because the aggressor has no
-/// coupling path — benign, not a degradation (mirrors the CLI report).
-fn only_no_noise(e: &RobustError) -> bool {
-    let no_noise = |f: &RungFailure| matches!(f.error, RungError::Metric(MetricError::NoNoise));
-    match e {
-        RobustError::Engine(MetricError::NoNoise) => true,
-        RobustError::StrictDegradation(f) => no_noise(f),
-        RobustError::Exhausted(fails) => !fails.is_empty() && fails.iter().all(no_noise),
-        _ => false,
-    }
-}
-
-enum Row {
-    Estimate {
-        name: String,
-        est: xtalk_core::NoiseEstimate,
-        provenance: Provenance,
-        golden: GoldenOutcome,
-    },
-    NoCoupling {
-        name: String,
-    },
-    Failed {
-        name: String,
-        detail: String,
-    },
 }
 
 enum GoldenOutcome {
@@ -174,11 +142,7 @@ pub fn run_analyze(
             return proto::error_reply(id, "deck", &e.to_string(), e.position());
         }
     };
-    let policy = if req.strict {
-        xtalk_core::FallbackPolicy::strict()
-    } else {
-        xtalk_core::FallbackPolicy::default()
-    };
+    let policy = FallbackPolicy::for_strict(req.strict);
     let robust = match RobustAnalyzer::with_policy(&network, policy) {
         Ok(r) => r,
         Err(e) => {
@@ -192,101 +156,57 @@ pub fn run_analyze(
         .with_severity(Severity::Warning)
         .count();
 
-    let targets: Vec<(NetId, String)> = network
+    let (aggressors, names): (Vec<NetId>, Vec<&str>) = network
         .aggressor_nets()
         .filter(|(_, net)| match &req.aggressor {
             Some(wanted) => net.name() == wanted,
             None => true,
         })
-        .map(|(agg, net)| (agg, net.name().to_string()))
-        .collect();
+        .map(|(agg, net)| (agg, net.name()))
+        .unzip();
 
-    let mut rows = Vec::with_capacity(targets.len());
-    let mut degraded = false;
-    let mut golden_skips = 0usize;
-    let mut analytic_runs = 0usize;
-    for (agg, name) in targets {
-        let chain_started = Instant::now();
-        let analyzed = {
-            let _span = xtalk_obs::span!("serve.chain");
-            robust.analyze(agg, &input)
-        };
-        trace.chain_ns += elapsed_ns(chain_started);
-        let row = match analyzed {
-            Ok(re) => {
-                if re.provenance.degraded() {
-                    degraded = true;
-                    trace.degraded_rows += 1;
-                }
-                let golden_started = Instant::now();
-                let golden = if !req.golden {
-                    GoldenOutcome::NotRequested
-                } else if out_of_budget(budget, accepted) {
-                    let _span = xtalk_obs::span!("serve.golden");
-                    // No budget for a transient sim — but the analytic
-                    // fast tier costs microseconds, so try it before
-                    // dropping the cross-check entirely.
-                    match analytic_noise(&network, &[(agg, input)], network.victim_output(), FastTier::Auto)
-                    {
-                        Ok(params) => {
-                            analytic_runs += 1;
-                            trace.analytic_rescues += 1;
-                            xtalk_obs::counter!(perf: "serve.deadline.analytic_rescues").add(1);
-                            GoldenOutcome::Ran(params, GoldenTier::Analytic)
-                        }
-                        Err(_) => {
-                            golden_skips += 1;
-                            degraded = true;
-                            xtalk_obs::counter!(perf: "serve.deadline.golden_skips").add(1);
-                            GoldenOutcome::SkippedDeadline
-                        }
-                    }
-                } else {
-                    let _span = xtalk_obs::span!("serve.golden");
-                    match golden_noise_tiered(
-                        &network,
-                        &[(agg, input)],
-                        network.victim_output(),
-                        ws,
-                        &GoldenOpts::from_globals(),
-                    ) {
-                        Ok((params, tier)) => {
-                            if tier == GoldenTier::Analytic {
-                                analytic_runs += 1;
-                            }
-                            GoldenOutcome::Ran(params, tier)
-                        }
-                        Err(e) => {
-                            degraded = true;
-                            GoldenOutcome::Failed(e.to_string())
-                        }
-                    }
-                };
-                if req.golden {
-                    trace.golden_ns += elapsed_ns(golden_started);
-                }
-                Row::Estimate {
-                    name,
-                    est: re.estimate,
-                    provenance: re.provenance,
-                    golden,
-                }
-            }
-            Err(e) if only_no_noise(&e) => Row::NoCoupling { name },
-            Err(e) if req.strict => {
-                xtalk_obs::counter!("serve.replies.error").add(1);
-                return proto::error_reply(id, "strict", &e.to_string(), None);
-            }
-            Err(e) => {
-                degraded = true;
-                Row::Failed {
-                    name,
-                    detail: e.to_string(),
-                }
-            }
-        };
-        rows.push(row);
+    let chain_started = Instant::now();
+    let analysis = {
+        let _span = xtalk_obs::span!("serve.chain");
+        robust.analyze_all(&aggressors, &input)
+    };
+    trace.chain_ns = elapsed_ns(chain_started);
+    if let (true, Some((_, e))) = (req.strict, analysis.first_failure()) {
+        xtalk_obs::counter!("serve.replies.error").add(1);
+        return proto::error_reply(id, "strict", &e.to_string(), None);
     }
+
+    trace.degraded_rows = saturate(
+        analysis
+            .estimates()
+            .filter(|re| re.provenance.degraded())
+            .count(),
+    );
+    let goldens: Vec<GoldenOutcome> = analysis
+        .rows
+        .iter()
+        .map(|(agg, outcome)| match outcome {
+            AggressorOutcome::Estimate(_) if req.golden => {
+                let golden_started = Instant::now();
+                let golden = golden_row(&network, *agg, input, budget, accepted, ws, trace);
+                trace.golden_ns += elapsed_ns(golden_started);
+                golden
+            }
+            _ => GoldenOutcome::NotRequested,
+        })
+        .collect();
+    let golden_skips = goldens
+        .iter()
+        .filter(|g| matches!(g, GoldenOutcome::SkippedDeadline))
+        .count();
+    let analytic_runs = goldens
+        .iter()
+        .filter(|g| matches!(g, GoldenOutcome::Ran(_, GoldenTier::Analytic)))
+        .count();
+    let degraded = analysis.degraded()
+        || goldens
+            .iter()
+            .any(|g| matches!(g, GoldenOutcome::SkippedDeadline | GoldenOutcome::Failed(_)));
 
     let elapsed = accepted.elapsed();
     let expired = budget.is_some_and(|b| elapsed > b);
@@ -294,7 +214,7 @@ pub fn run_analyze(
         xtalk_obs::counter!(perf: "serve.deadline.expired").add(1);
     }
     let status = if degraded || expired { "degraded" } else { "ok" };
-    trace.golden_skips = u32::try_from(golden_skips).unwrap_or(u32::MAX);
+    trace.golden_skips = saturate(golden_skips);
     trace.deadline_expired = expired;
     trace.status = status;
     if degraded || expired {
@@ -307,11 +227,12 @@ pub fn run_analyze(
     out.push_str(",\"victim\":");
     json::write_escaped(&mut out, network.node_name(network.victim_output()));
     let _ = write!(out, ",\"validation_warnings\":{warnings},\"rows\":[");
-    for (i, row) in rows.iter().enumerate() {
+    let rows = analysis.rows.iter().zip(&goldens).zip(&names);
+    for (i, (((_, outcome), golden), name)) in rows.enumerate() {
         if i > 0 {
             out.push(',');
         }
-        render_row(&mut out, row, req.threshold);
+        render_row(&mut out, name, outcome, golden, req.threshold);
     }
     out.push(']');
     let _ = write!(out, ",\"elapsed_ms\":{:.3}", elapsed.as_secs_f64() * 1e3);
@@ -338,6 +259,47 @@ pub fn run_analyze(
     }
     out.push('}');
     out
+}
+
+/// The golden cross-check of one estimate row: the tiered golden
+/// measurement while the budget covers a transient simulation, else the
+/// analytic fast tier, else a skip.
+fn golden_row(
+    network: &Network,
+    agg: NetId,
+    input: InputSignal,
+    budget: Option<Duration>,
+    accepted: Instant,
+    ws: &mut SimWorkspace,
+    trace: &mut RequestTrace,
+) -> GoldenOutcome {
+    let _span = xtalk_obs::span!("serve.golden");
+    let stimuli = [(agg, input)];
+    if out_of_budget(budget, accepted) {
+        // No budget for a transient sim — but the analytic fast tier
+        // costs microseconds, so try it before dropping the cross-check
+        // entirely.
+        return match analytic_noise(network, &stimuli, network.victim_output(), FastTier::Auto) {
+            Ok(params) => {
+                trace.analytic_rescues += 1;
+                xtalk_obs::counter!(perf: "serve.deadline.analytic_rescues").add(1);
+                GoldenOutcome::Ran(params, GoldenTier::Analytic)
+            }
+            Err(_) => {
+                xtalk_obs::counter!(perf: "serve.deadline.golden_skips").add(1);
+                GoldenOutcome::SkippedDeadline
+            }
+        };
+    }
+    let gopts = GoldenOpts::from_globals();
+    match golden_noise_tiered(network, &stimuli, network.victim_output(), ws, &gopts) {
+        Ok((params, tier)) => GoldenOutcome::Ran(params, tier),
+        Err(e) => GoldenOutcome::Failed(e.to_string()),
+    }
+}
+
+fn saturate(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or(u32::MAX)
 }
 
 fn out_of_budget(budget: Option<Duration>, accepted: Instant) -> bool {
@@ -368,16 +330,18 @@ fn render_waveform(out: &mut String, vp: f64, t0: f64, t1: f64, t2: f64, tp: f64
     }
 }
 
-fn render_row(out: &mut String, row: &Row, threshold: Option<f64>) {
-    match row {
-        Row::Estimate {
-            name,
-            est,
-            provenance,
-            golden,
-        } => {
-            out.push_str("{\"aggressor\":");
-            json::write_escaped(out, name);
+fn render_row(
+    out: &mut String,
+    name: &str,
+    outcome: &AggressorOutcome,
+    golden: &GoldenOutcome,
+    threshold: Option<f64>,
+) {
+    out.push_str("{\"aggressor\":");
+    json::write_escaped(out, name);
+    match outcome {
+        AggressorOutcome::Estimate(re) => {
+            let (est, provenance) = (&re.estimate, &re.provenance);
             render_waveform(out, est.vp, est.t0, est.t1, est.t2, est.tp, est.wn);
             out.push_str(",\"rung\":");
             json::write_escaped(out, provenance.rung().name());
@@ -427,21 +391,14 @@ fn render_row(out: &mut String, row: &Row, threshold: Option<f64>) {
                     out.push('}');
                 }
             }
-            out.push('}');
         }
-        Row::NoCoupling { name } => {
-            out.push_str("{\"aggressor\":");
-            json::write_escaped(out, name);
-            out.push_str(",\"no_coupling\":true}");
-        }
-        Row::Failed { name, detail } => {
-            out.push_str("{\"aggressor\":");
-            json::write_escaped(out, name);
+        AggressorOutcome::NoCoupling => out.push_str(",\"no_coupling\":true"),
+        AggressorOutcome::Failed(e) => {
             out.push_str(",\"error\":");
-            json::write_escaped(out, detail);
-            out.push('}');
+            json::write_escaped(out, &e.to_string());
         }
     }
+    out.push('}');
 }
 
 #[cfg(test)]

@@ -166,19 +166,14 @@ pub fn golden_noise_tiered(
     workspace: &mut SimWorkspace,
     gopts: &GoldenOpts,
 ) -> Result<(NoiseWaveformParams, GoldenTier), SimError> {
-    let polarity = polarity_of(stimuli)?;
-    let _span = xtalk_obs::span!("sim.golden");
-    xtalk_obs::counter!("sim.golden.runs").add(1);
-    if let Some(params) = fast_tier_hit(network, stimuli, node, gopts.tier) {
-        return Ok((params, GoldenTier::Analytic));
-    }
-    let sim = TransientSim::new(network)?;
     let job = GoldenJob {
         network,
         stimuli,
         node,
     };
-    transient(&sim, &job, polarity, gopts.mode, workspace).map(|p| (p, GoldenTier::Transient))
+    golden_noise_batch(&[job], workspace, gopts)
+        .pop()
+        .expect("one result per job")
 }
 
 /// A golden measurement and the tier that produced it, or why none could
@@ -202,16 +197,21 @@ pub struct GoldenJob<'a> {
 /// `golden_noise_tiered` returns for each job, in job order, under every
 /// [`GoldenOpts`] — and records the same `sim.golden.*` counters.
 ///
+/// A probe `node` other than the network's victim output fails with a
+/// `BadOptions` error once the fast tier has declined, before any
+/// simulator is built: the transient tier records only the victim output.
+///
 /// Jobs whose fixed-step march runs on the sparse backend are grouped by
 /// the symbolic structure of their systems (the G∪C union pattern, hence
 /// one ordering, `L` pattern and stepping pattern), and each group's
 /// first segments march [`BATCH_LANES`] at a time in lockstep through the
 /// permuted-space stepping kernel. Lanes may differ in values, `dt`,
-/// step count, stimuli and probe node; each lane does exactly the
+/// step count and stimuli; each lane does exactly the
 /// floating-point work its own march would. Everything else takes the
-/// per-job path: an analytic-tier hit, the adaptive mode, a dense
-/// system, a group of one, and the horizon extensions of a lane whose
-/// pulse is truncated.
+/// per-job path: an analytic-tier hit, a group of one, the horizon
+/// extensions of a lane whose pulse is truncated, and — marched whole
+/// under the `sim.golden` span — a call with a single job (which is what
+/// [`golden_noise_tiered`] makes), the adaptive mode and a dense system.
 ///
 /// Every job's simulator is alive until its group has marched, so
 /// callers bound memory by the number of jobs they pass at once.
@@ -237,6 +237,10 @@ pub fn golden_noise_batch(
             out[i] = Some(Ok((params, GoldenTier::Analytic)));
             continue;
         }
+        if job.node != job.network.victim_output() {
+            out[i] = Some(Err(probe_err(job.node)));
+            continue;
+        }
         let sim = match TransientSim::new(job.network) {
             Ok(sim) => sim,
             Err(e) => {
@@ -245,7 +249,7 @@ pub fn golden_noise_batch(
             }
         };
         let options = SimOptions::auto(job.network, job.stimuli);
-        if gopts.mode == SimMode::Adaptive || !sim.uses_sparse_solver() {
+        if jobs.len() == 1 || gopts.mode == SimMode::Adaptive || !sim.uses_sparse_solver() {
             let _span = xtalk_obs::span!("sim.golden");
             out[i] = Some(
                 transient(&sim, job, polarity, gopts.mode, workspace)
